@@ -24,6 +24,11 @@ impl ServeClient {
     pub fn connect(addr: &str) -> Result<Self, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        // One request in flight: with Nagle on, every request would wait
+        // for the server's delayed ACK of the previous response.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("set_nodelay: {e}"))?;
         let reader = stream
             .try_clone()
             .map_err(|e| format!("cloning stream: {e}"))?;
@@ -51,8 +56,11 @@ impl ServeClient {
                 req.insert(k.clone(), v.clone());
             }
         }
-        let line = Value::Object(req).to_string();
-        writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))?;
+        let mut line = Value::Object(req).to_string();
+        line.push('\n');
+        self.writer
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("send: {e}"))?;
         let mut resp = String::new();
         let n = self
             .reader

@@ -5,9 +5,18 @@
 //! autorun tenants round-robin in bounded strides: a worker claims the
 //! tenant at the head of the run queue, steps it one stride, re-queues
 //! it if unfinished, and moves on. The stride bound is the fairness
-//! unit (no tenant can monopolise a worker) *and* the control-plane
-//! latency bound (a client request waits at most one stride for the
+//! unit (no tenant can monopolise a worker) *and* the latency bound of
+//! the verbs that need the world itself (`tenant.inject`,
+//! `tenant.step`, `tenant.stats`, ... wait at most one stride for the
 //! tenant's lock).
+//!
+//! The hot reads do not wait at all. After every advancement, and when
+//! a tenant is created or resumed, the stepping thread publishes the
+//! tenant's view: the cycle reached, `done`, and the online attribution
+//! for the configured victim at that cycle. `tenant.identify` for that
+//! victim and `server.info` answer from the latest view without taking
+//! the tenant lock; the answer is the one a locked read would have
+//! given at the last stride boundary.
 //!
 //! Requests arrive as parsed [`proto`] envelopes; [`Server::handle`]
 //! is the single dispatch point, shared by the TCP connection threads
@@ -22,7 +31,7 @@
 //! bit-identical continuations.
 
 use crate::proto::{self, Envelope, Request};
-use crate::world::ScenarioWorld;
+use crate::world::{OnlineAttribution, ScenarioWorld};
 use ddpm_sim::CheckpointConfig;
 use ddpm_telemetry::{BroadcastSink, TelemetryConfig};
 use serde_json::{json, Value};
@@ -31,7 +40,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 /// Maximum telemetry events a tenant buffers between `subscribe`
@@ -78,7 +87,6 @@ struct FinishedOutcome {
 /// One tenant: the world plus its service-side bookkeeping.
 struct Tenant {
     world: ScenarioWorld,
-    autorun: bool,
     sink: Option<BroadcastSink>,
     /// Set while the tenant sits in the run queue or under a worker's
     /// stride, so concurrent enqueues cannot double-queue it.
@@ -89,12 +97,12 @@ struct Tenant {
 }
 
 impl Tenant {
-    fn stats_body(&self) -> Value {
+    fn stats_body(&self, autorun: bool) -> Value {
         let stats = self.world.sim().stats();
         json!({
             "cycle": self.world.now_cycles(),
             "done": self.world.done(),
-            "autorun": self.autorun,
+            "autorun": autorun,
             "live": self.world.sim().live_count(),
             "benign": {"injected": stats.benign.injected, "delivered": stats.benign.delivered},
             "attack": {"injected": stats.attack.injected, "delivered": stats.attack.delivered,
@@ -104,9 +112,75 @@ impl Tenant {
     }
 }
 
+/// A tenant's published state: what reads may serve without the tenant
+/// lock. Immutable once published; each advancement swaps in a new one.
+struct View {
+    cycle: u64,
+    done: bool,
+    /// `identify(None)` at `cycle`: the configured victim's answer, or
+    /// why there is none.
+    identify: Result<OnlineAttribution, String>,
+}
+
+impl View {
+    fn of(world: &ScenarioWorld) -> Arc<Self> {
+        Arc::new(Self {
+            cycle: world.now_cycles(),
+            done: world.done(),
+            identify: world.identify(None),
+        })
+    }
+}
+
+/// A tenant's entry in the server's table.
+struct Slot {
+    autorun: bool,
+    tenant: Mutex<Tenant>,
+    /// The latest [`View`], locked only long enough to clone the `Arc`.
+    view: Mutex<Arc<View>>,
+}
+
+impl Slot {
+    fn new(tenant: Tenant, autorun: bool) -> Self {
+        Self {
+            autorun,
+            view: Mutex::new(View::of(&tenant.world)),
+            tenant: Mutex::new(tenant),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Tenant> {
+        self.tenant.lock().expect("tenant poisoned")
+    }
+
+    fn view(&self) -> Arc<View> {
+        Arc::clone(&self.view.lock().expect("view poisoned"))
+    }
+
+    /// Publishes `world`'s current state. Callers hold the tenant lock,
+    /// so views are published in advancement order.
+    fn publish(&self, world: &ScenarioWorld) {
+        let view = View::of(world);
+        *self.view.lock().expect("view poisoned") = view;
+    }
+}
+
+/// The `tenant.identify` response body.
+fn identify_body(a: &OnlineAttribution) -> Value {
+    json!({
+        "scheme": a.scheme,
+        "cycle": a.cycle,
+        "victim": a.victim,
+        "observed": a.observed,
+        "rejected": a.rejected,
+        "candidates": a.candidates.iter().map(|&c| json!(c)).collect::<Vec<_>>(),
+        "confidence": a.confidence,
+    })
+}
+
 struct Inner {
     cfg: ServerConfig,
-    tenants: Mutex<HashMap<String, Arc<Mutex<Tenant>>>>,
+    tenants: Mutex<HashMap<String, Arc<Slot>>>,
     runq: Mutex<VecDeque<String>>,
     work: Condvar,
     draining: AtomicBool,
@@ -211,26 +285,24 @@ impl Server {
             let checkpointed_at = world.now_cycles();
             let tenant = Tenant {
                 world,
-                autorun,
                 sink,
                 queued: false,
                 checkpointed_at,
                 outcome: None,
             };
-            self.insert_tenant(name.clone(), tenant)
+            self.insert_tenant(name.clone(), tenant, autorun)
                 .map_err(|e| format!("tenant `{name}`: {e}"))?;
         }
         Ok(names)
     }
 
-    fn insert_tenant(&self, name: String, tenant: Tenant) -> Result<(), String> {
-        let autorun = tenant.autorun;
+    fn insert_tenant(&self, name: String, tenant: Tenant, autorun: bool) -> Result<(), String> {
         {
             let mut tenants = self.inner.tenants.lock().expect("tenants poisoned");
             if tenants.contains_key(&name) {
                 return Err(format!("tenant `{name}` already exists"));
             }
-            tenants.insert(name.clone(), Arc::new(Mutex::new(tenant)));
+            tenants.insert(name.clone(), Arc::new(Slot::new(tenant, autorun)));
         }
         if autorun {
             self.enqueue(&name);
@@ -242,7 +314,7 @@ impl Server {
         enqueue(&self.inner, name);
     }
 
-    fn slot(&self, name: &str) -> Result<Arc<Mutex<Tenant>>, String> {
+    fn slot(&self, name: &str) -> Result<Arc<Slot>, String> {
         self.inner
             .tenants
             .lock()
@@ -320,49 +392,52 @@ impl Server {
                 let nodes = world.topology().num_nodes();
                 let tenant = Tenant {
                     world,
-                    autorun: *autorun,
                     sink,
                     queued: false,
                     checkpointed_at: 0,
                     outcome: None,
                 };
-                self.insert_tenant(name.clone(), tenant)?;
+                self.insert_tenant(name.clone(), tenant, *autorun)?;
                 Ok(json!({"tenant": name.as_str(), "nodes": nodes, "autorun": *autorun}))
             }
             Request::Inject { tenant, attack } => {
                 let slot = self.slot(tenant)?;
-                let mut t = slot.lock().expect("tenant poisoned");
+                let mut t = slot.lock();
                 let (first_cycle, packets) = t.world.inject(attack)?;
                 Ok(json!({"first_cycle": first_cycle, "packets": packets}))
             }
             Request::Step { tenant, cycles } => {
                 let slot = self.slot(tenant)?;
-                let mut t = slot.lock().expect("tenant poisoned");
+                let mut t = slot.lock();
                 let done = t.world.step(cycles.unwrap_or(self.inner.cfg.stride));
+                slot.publish(&t.world);
                 Ok(json!({"cycle": t.world.now_cycles(), "done": done}))
             }
             Request::Identify { tenant, victim } => {
                 let slot = self.slot(tenant)?;
-                let t = slot.lock().expect("tenant poisoned");
-                let a = t.world.identify(*victim)?;
-                Ok(json!({
-                    "scheme": a.scheme,
-                    "cycle": a.cycle,
-                    "victim": a.victim,
-                    "observed": a.observed,
-                    "rejected": a.rejected,
-                    "candidates": a.candidates.iter().map(|&c| json!(c)).collect::<Vec<_>>(),
-                    "confidence": a.confidence,
-                }))
+                let view = slot.view();
+                // The configured victim is answered from the published
+                // view; any other victim needs the world itself.
+                match (victim, &view.identify) {
+                    (None, published) => {
+                        published.as_ref().map(identify_body).map_err(Clone::clone)
+                    }
+                    (Some(v), Ok(a)) if *v == a.victim => Ok(identify_body(a)),
+                    (Some(_), _) => slot
+                        .lock()
+                        .world
+                        .identify(*victim)
+                        .map(|a| identify_body(&a)),
+                }
             }
             Request::Stats { tenant } => {
                 let slot = self.slot(tenant)?;
-                let t = slot.lock().expect("tenant poisoned");
-                Ok(t.stats_body())
+                let t = slot.lock();
+                Ok(t.stats_body(slot.autorun))
             }
             Request::Snapshot { tenant } => {
                 let slot = self.slot(tenant)?;
-                let mut t = slot.lock().expect("tenant poisoned");
+                let mut t = slot.lock();
                 match t.world.checkpoint_now()? {
                     Some(path) => {
                         t.checkpointed_at = t.world.now_cycles();
@@ -380,7 +455,7 @@ impl Server {
             }
             Request::Subscribe { tenant } => {
                 let slot = self.slot(tenant)?;
-                let t = slot.lock().expect("tenant poisoned");
+                let t = slot.lock();
                 let Some(sink) = &t.sink else {
                     return Err(format!(
                         "tenant `{tenant}` was created without telemetry; \
@@ -399,7 +474,7 @@ impl Server {
             }
             Request::Outcome { tenant } => {
                 let slot = self.slot(tenant)?;
-                let mut t = slot.lock().expect("tenant poisoned");
+                let mut t = slot.lock();
                 if !t.world.done() {
                     return Err(format!(
                         "tenant `{tenant}` is still running (cycle {}); outcome is \
@@ -430,7 +505,7 @@ impl Server {
                         .ok_or_else(|| format!("no such tenant `{tenant}`"))?
                 };
                 // Wait out any in-flight stride, then drop the world.
-                drop(slot.lock().expect("tenant poisoned"));
+                drop(slot.lock());
                 if let Some(root) = &self.inner.cfg.checkpoint_root {
                     let dir = root.join(tenant);
                     if dir.is_dir() {
@@ -447,12 +522,13 @@ impl Server {
                 let rows: Vec<Value> = names
                     .iter()
                     .map(|name| {
-                        let t = tenants[name.as_str()].lock().expect("tenant poisoned");
+                        let slot = &tenants[name.as_str()];
+                        let view = slot.view();
                         json!({
                             "name": name.as_str(),
-                            "cycle": t.world.now_cycles(),
-                            "done": t.world.done(),
-                            "autorun": t.autorun,
+                            "cycle": view.cycle,
+                            "done": view.done,
+                            "autorun": slot.autorun,
                         })
                     })
                     .collect();
@@ -481,7 +557,7 @@ impl Server {
     pub fn begin_drain(&self) -> Result<usize, String> {
         self.inner.draining.store(true, Ordering::SeqCst);
         self.inner.work.notify_all();
-        let slots: Vec<(String, Arc<Mutex<Tenant>>)> = {
+        let slots: Vec<(String, Arc<Slot>)> = {
             let tenants = self.inner.tenants.lock().expect("tenants poisoned");
             let mut v: Vec<_> = tenants
                 .iter()
@@ -492,7 +568,7 @@ impl Server {
         };
         let mut checkpointed = 0;
         for (name, slot) in slots {
-            let mut t = slot.lock().expect("tenant poisoned");
+            let mut t = slot.lock();
             if !t.world.done() && t.world.config().checkpoint.is_some() {
                 t.world
                     .checkpoint_now()
@@ -582,7 +658,7 @@ fn enqueue(inner: &Inner, name: &str) {
         return;
     };
     {
-        let mut t = slot.lock().expect("tenant poisoned");
+        let mut t = slot.lock();
         if t.queued || t.world.done() {
             return;
         }
@@ -624,8 +700,9 @@ fn worker_loop(inner: &Inner) {
             continue; // destroyed while queued
         };
         let requeue = {
-            let mut t = slot.lock().expect("tenant poisoned");
+            let mut t = slot.lock();
             let done = t.world.step(inner.cfg.stride);
+            slot.publish(&t.world);
             if !done
                 && t.world.config().checkpoint.is_some()
                 && t.world.now_cycles().saturating_sub(t.checkpointed_at)
@@ -638,7 +715,7 @@ fn worker_loop(inner: &Inner) {
                     Err(e) => eprintln!("warning: tenant `{name}`: {e}"),
                 }
             }
-            t.queued = !done && t.autorun;
+            t.queued = !done && slot.autorun;
             t.queued
         };
         if requeue {
@@ -653,10 +730,17 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Per-connection line loop: read request lines, write response lines.
+///
+/// Nagle is off and each response leaves in one `write_all`, newline
+/// included: a separate 1-byte newline write would wait in the send
+/// buffer for the client's delayed ACK (~40 ms on Linux).
 fn connection_loop(server: &Server, stream: TcpStream) {
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let reader = BufReader::new(reader_stream);
     let mut writer = stream;
     for line in reader.lines() {
@@ -664,8 +748,9 @@ fn connection_loop(server: &Server, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = server.handle_line(&line);
-        if writeln!(writer, "{response}").is_err() {
+        let mut response = server.handle_line(&line);
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() {
             break;
         }
     }

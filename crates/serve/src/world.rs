@@ -22,7 +22,8 @@ use ddpm_core::{build_scheme_with, DdpmScheme, DpmScheme};
 use ddpm_net::{AddrMap, CodecMode, TrafficClass};
 use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_sim::{
-    InvariantConfig, Marker, MarkingScheme, NoMarking, RetryPolicy, SimConfig, SimTime, Simulation,
+    Collector, Delivered, InvariantConfig, Marker, MarkingScheme, NoMarking, RetryPolicy,
+    SimConfig, SimTime, Simulation,
 };
 use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, TelemetryConfig};
 use ddpm_topology::{FaultSchedule, FaultSet, NodeId, Topology};
@@ -30,6 +31,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Extends a borrow of heap-owned data to `'static`.
 ///
@@ -37,8 +39,8 @@ use std::path::PathBuf;
 /// The caller must guarantee that the allocation owning `*r` outlives
 /// every use of the returned reference and is neither moved out of its
 /// box nor reassigned in the meantime. [`ScenarioWorld`] upholds this
-/// structurally: the borrowing fields (`sim`, `adversary`) are
-/// declared before the owning boxes, so they drop first, and no method
+/// structurally: the borrowing fields (`sim`, `adversary`, `resident`)
+/// are declared before the owning boxes, so they drop first, and no method
 /// hands out `&mut` access to the boxes themselves.
 unsafe fn extend<T: ?Sized>(r: &T) -> &'static T {
     &*(r as *const T)
@@ -49,7 +51,7 @@ unsafe fn extend<T: ?Sized>(r: &T) -> &'static T {
 /// The same victim-side evidence the end-of-run summary reports, but
 /// computed from the delivered stream *so far* — a mid-flight query
 /// over a live tenant, not a post-mortem.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OnlineAttribution {
     /// The plugin scheme that produced the answer.
     pub scheme: &'static str,
@@ -67,6 +69,57 @@ pub struct OnlineAttribution {
     pub confidence: f64,
 }
 
+/// A victim-side collector plus how far into the delivered stream it
+/// has read. Fed forward only: the delivered stream is append-only, so
+/// catching up on `delivered[cursor..]` leaves the collector in the
+/// state a fresh rescan of the whole stream would build.
+struct Tally<'a> {
+    collector: Box<dyn Collector + 'a>,
+    victim: NodeId,
+    cursor: usize,
+    /// Latest delivery cycle among the packets fed.
+    last_cycle: u64,
+}
+
+impl<'a> Tally<'a> {
+    fn new(scheme: &'a dyn MarkingScheme, topo: &'a Topology, victim: NodeId) -> Self {
+        Self {
+            collector: scheme.collector(topo, victim),
+            victim,
+            cursor: 0,
+            last_cycle: 0,
+        }
+    }
+
+    /// Feeds every attack-class packet delivered to the victim since the
+    /// last call, in delivery order. `observe_packet`, not `observe`: the
+    /// auth-* collectors verify the delivered header's keyed tag and
+    /// reject fail-closed; everyone else falls back to plain field
+    /// observation.
+    fn catch_up(&mut self, delivered: &[Delivered]) {
+        for d in &delivered[self.cursor..] {
+            if d.packet.dest_node == self.victim && d.packet.class == TrafficClass::Attack {
+                self.collector.observe_packet(&d.packet);
+                self.last_cycle = self.last_cycle.max(d.delivered_at.0);
+            }
+        }
+        self.cursor = delivered.len();
+    }
+
+    fn answer(&mut self, scheme: &'static str, cycle: u64) -> OnlineAttribution {
+        let att = self.collector.attribute();
+        OnlineAttribution {
+            scheme,
+            cycle,
+            victim: self.victim.0,
+            observed: self.collector.observed(),
+            rejected: self.collector.rejected(),
+            candidates: att.candidates.iter().map(|c| c.0).collect(),
+            confidence: att.confidence,
+        }
+    }
+}
+
 /// A resident, stride-steppable scenario world.
 ///
 /// Built once from a [`ScenarioConfig`] (optionally restoring a
@@ -78,7 +131,8 @@ pub struct OnlineAttribution {
 /// one-shot runner would have.
 ///
 /// The struct is self-referential: `sim` borrows the boxed topology,
-/// fault set and marker; `adversary` borrows the boxed plugin. The
+/// fault set and marker; `adversary` and `resident` borrow the boxed
+/// plugin (and `resident` the topology). The
 /// borrows are lifetime-extended to `'static` at construction, which
 /// is sound because the referents are heap allocations owned by fields
 /// declared *after* the borrowers (Rust drops fields in declaration
@@ -90,6 +144,11 @@ pub struct ScenarioWorld {
     // ---- borrowers: must drop before the owners below --------------
     sim: Simulation<'static>,
     adversary: Option<Box<AdversaryModel<'static>>>,
+    /// The configured victim's collector, built on the first
+    /// [`identify`](Self::identify) and then fed only the deliveries
+    /// since the previous call. A mutex keeps `identify(&self)` a read
+    /// while the world stays `Send`.
+    resident: Mutex<Option<Tally<'static>>>,
     // ---- owners of the borrowed-from allocations --------------------
     plugin: Option<Box<dyn MarkingScheme>>,
     ddpm: Option<Box<DdpmScheme>>,
@@ -336,6 +395,7 @@ impl ScenarioWorld {
         Ok(Self {
             sim,
             adversary,
+            resident: Mutex::new(None),
             plugin,
             ddpm,
             _dpm: dpm,
@@ -470,23 +530,28 @@ impl ScenarioWorld {
     }
 
     /// Answers an attribution query *online*, from the delivered stream
-    /// so far: builds the plugin scheme's victim-side collector, feeds
-    /// it every attack-class packet delivered to the victim to date (in
-    /// delivery order, with fail-closed tag verification for auth-*
-    /// schemes), and returns its current best answer. Works mid-flight
-    /// and after completion; read-only, so it never perturbs the run.
+    /// so far: the plugin scheme's victim-side collector, fed every
+    /// attack-class packet delivered to the victim to date (in delivery
+    /// order, with fail-closed tag verification for auth-* schemes),
+    /// returns its current best answer. Works mid-flight and after
+    /// completion; read-only, so it never perturbs the run.
+    ///
+    /// The configured victim's collector stays resident and each call
+    /// feeds it only the deliveries since the previous one, so a query
+    /// costs O(new deliveries). Any other victim gets a fresh collector
+    /// fed the whole stream.
     ///
     /// # Errors
     /// No plugin scheme configured, or no victim (neither an `attack`
     /// block nor an explicit `victim` argument).
     pub fn identify(&self, victim: Option<u32>) -> Result<OnlineAttribution, String> {
-        let Some(p) = &self.plugin else {
+        if self.plugin.is_none() {
             return Err(
                 "scenario configures no `scheme`: online identify needs the plugin \
                  collector (the legacy `marking` knob has no victim side)"
                     .into(),
             );
-        };
+        }
         let Some(victim) = victim.or_else(|| self.victim()) else {
             return Err(
                 "no victim to attribute for: the scenario has no `attack` block; \
@@ -498,23 +563,39 @@ impl ScenarioWorld {
         if u64::from(victim) >= n {
             return Err(format!("victim {victim} out of range (cluster has {n} nodes)"));
         }
-        let victim = NodeId(victim);
-        let mut collector = p.collector(&self.topo, victim);
-        for d in self.sim.delivered() {
-            if d.packet.dest_node == victim && d.packet.class == TrafficClass::Attack {
-                collector.observe_packet(&d.packet);
-            }
+        if Some(victim) == self.victim() {
+            return Ok(self.resident_answer().expect("plugin and victim present").0);
         }
-        let att = collector.attribute();
-        Ok(OnlineAttribution {
-            scheme: p.name(),
-            cycle: self.sim.now_cycles(),
-            victim: victim.0,
-            observed: collector.observed(),
-            rejected: collector.rejected(),
-            candidates: att.candidates.iter().map(|c| c.0).collect(),
-            confidence: att.confidence,
-        })
+        Ok(self.rescan(NodeId(victim)))
+    }
+
+    /// The resident collector's answer for the configured victim, plus
+    /// the latest cycle at which it was delivered an attack packet.
+    /// `None` without a plugin scheme or an `attack` block.
+    fn resident_answer(&self) -> Option<(OnlineAttribution, u64)> {
+        let p = self.plugin.as_deref()?;
+        let victim = NodeId(self.victim()?);
+        let mut resident = self.resident.lock().expect("resident collector poisoned");
+        let tally = resident.get_or_insert_with(|| {
+            // SAFETY: `plugin` and `topo` are boxes owned by `self` and
+            // declared after `resident`; see the struct docs.
+            let (p, topo) = unsafe { (extend(p), extend(&*self.topo)) };
+            Tally::new(p, topo, victim)
+        });
+        tally.catch_up(self.sim.delivered());
+        Some((
+            tally.answer(p.name(), self.sim.now_cycles()),
+            tally.last_cycle,
+        ))
+    }
+
+    /// A fresh collector for `victim`, fed the whole delivered stream —
+    /// the answer the resident collector must always agree with.
+    fn rescan(&self, victim: NodeId) -> OnlineAttribution {
+        let p = self.plugin.as_deref().expect("checked by the caller");
+        let mut tally = Tally::new(p, &self.topo, victim);
+        tally.catch_up(self.sim.delivered());
+        tally.answer(p.name(), self.sim.now_cycles())
     }
 
     /// Writes a checkpoint of the current state into the configured
@@ -627,6 +708,7 @@ impl ScenarioWorld {
     /// telemetry events; call it once per run.
     #[must_use]
     pub fn outcome(&mut self) -> ScenarioOutcome {
+        let attribution = self.resident_answer();
         let cfg = &self.cfg;
         let topo: &Topology = &self.topo;
         let router = self.router;
@@ -742,85 +824,65 @@ impl ScenarioWorld {
                 .map(|&(node, c)| json!({"node": node.0, "packets": c}))
                 .collect::<Vec<_>>());
         }
-        // Victim-side attribution via the scheme plugin's collector: feed it
-        // every attack-class packet the victim received, in delivery order,
-        // then ask it who the sources were. Text/JSON only — the behavioural
-        // digest hashes the delivered/drop/violation/stats streams, which
-        // this post-run analysis does not touch.
+        // Victim-side attribution via the scheme plugin's collector, caught
+        // up on every attack-class packet the victim received. Text/JSON
+        // only — the behavioural digest hashes the delivered/drop/
+        // violation/stats streams, which this post-run analysis does not
+        // touch.
         let mut attribution_json = json!(null);
-        if let Some(p) = &self.plugin {
-            let victim = cfg.attack.as_ref().map(|a| match a {
-                AttackSpec::UdpFlood { victim, .. } | AttackSpec::SynFlood { victim, .. } => {
-                    NodeId(*victim)
+        if let Some((a, last_cycle)) = attribution {
+            if a.candidates.is_empty() {
+                text.push_str(&format!(
+                    "attrib : {} collector saw {} attack packets, named no source\n",
+                    a.scheme, a.observed
+                ));
+            } else {
+                text.push_str(&format!(
+                    "attrib : {} collector saw {} attack packets -> {} candidate(s) \
+                     at confidence {:.2}:\n",
+                    a.scheme,
+                    a.observed,
+                    a.candidates.len(),
+                    a.confidence,
+                ));
+                for &c in &a.candidates {
+                    let node = NodeId(c);
+                    text.push_str(&format!("         {node} at {}\n", topo.coord(node)));
                 }
-            });
-            if let Some(victim) = victim {
-                let mut collector = p.collector(topo, victim);
-                let mut last_cycle = 0u64;
-                for d in sim.delivered() {
-                    if d.packet.dest_node == victim && d.packet.class == TrafficClass::Attack {
-                        // observe_packet, not observe: the auth-* collectors
-                        // verify the delivered header's keyed tag and reject
-                        // fail-closed; everyone else falls back to plain
-                        // field observation.
-                        collector.observe_packet(&d.packet);
-                        last_cycle = last_cycle.max(d.delivered_at.0);
-                    }
-                }
-                let att = collector.attribute();
-                let observed = collector.observed();
-                let rejected = collector.rejected();
-                let candidates: Vec<NodeId> = att.candidates.clone();
-                if candidates.is_empty() {
-                    text.push_str(&format!(
-                        "attrib : {} collector saw {observed} attack packets, named no source\n",
-                        p.name()
-                    ));
-                } else {
-                    text.push_str(&format!(
-                        "attrib : {} collector saw {observed} attack packets -> {} candidate(s) \
-                         at confidence {:.2}:\n",
-                        p.name(),
-                        candidates.len(),
-                        att.confidence,
-                    ));
-                    for node in &candidates {
-                        text.push_str(&format!("         {node} at {}\n", topo.coord(*node)));
-                    }
-                }
-                if rejected > 0 {
-                    text.push_str(&format!(
-                        "         {rejected} mark(s) rejected fail-closed (tag did not verify)\n"
-                    ));
-                }
-                if let Some(t) = sim.telemetry_mut() {
-                    if rejected > 0 {
-                        t.record_post_run(PacketEvent {
-                            cycle: last_cycle,
-                            pkt: rejected,
-                            node: victim.0,
-                            kind: TelEvent::AuthReject { scheme: p.name() },
-                        });
-                    }
+            }
+            if a.rejected > 0 {
+                text.push_str(&format!(
+                    "         {} mark(s) rejected fail-closed (tag did not verify)\n",
+                    a.rejected
+                ));
+            }
+            if let Some(t) = sim.telemetry_mut() {
+                if a.rejected > 0 {
                     t.record_post_run(PacketEvent {
                         cycle: last_cycle,
-                        pkt: 0,
-                        node: victim.0,
-                        kind: TelEvent::Attribute {
-                            scheme: p.name(),
-                            candidates: candidates.len() as u32,
-                            confidence_pm: (att.confidence * 1000.0).round() as u32,
-                        },
+                        pkt: a.rejected,
+                        node: a.victim,
+                        kind: TelEvent::AuthReject { scheme: a.scheme },
                     });
                 }
-                attribution_json = json!({
-                    "scheme": p.name(),
-                    "observed": observed,
-                    "rejected": rejected,
-                    "candidates": candidates.iter().map(|n| json!(n.0)).collect::<Vec<_>>(),
-                    "confidence": att.confidence,
+                t.record_post_run(PacketEvent {
+                    cycle: last_cycle,
+                    pkt: 0,
+                    node: a.victim,
+                    kind: TelEvent::Attribute {
+                        scheme: a.scheme,
+                        candidates: a.candidates.len() as u32,
+                        confidence_pm: (a.confidence * 1000.0).round() as u32,
+                    },
                 });
             }
+            attribution_json = json!({
+                "scheme": a.scheme,
+                "observed": a.observed,
+                "rejected": a.rejected,
+                "candidates": a.candidates,
+                "confidence": a.confidence,
+            });
         }
         // Adversary ground truth (the honest victim cannot see this; the
         // report can): what the compromised marking plane actually did.
@@ -914,47 +976,173 @@ impl ScenarioWorld {
 
 /// Generates the packet workload for an [`AttackSpec`], range-checking
 /// zombies and victim against the topology via `check_node`.
+///
+/// # Errors
+/// An out-of-range node, or a zombie that is the victim (a zombie
+/// cannot flood itself).
 fn generate_attack(
     attack: &AttackSpec,
     factory: &mut PacketFactory,
     rng: &mut SmallRng,
     check_node: &dyn Fn(u32, &str) -> Result<NodeId, String>,
 ) -> Result<Workload, String> {
-    match attack {
+    let (AttackSpec::UdpFlood {
+        zombies, victim, ..
+    }
+    | AttackSpec::SynFlood {
+        zombies, victim, ..
+    }) = attack;
+    let zombies = zombies
+        .iter()
+        .map(|&z| check_node(z, "zombie"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let victim = check_node(*victim, "victim")?;
+    if zombies.contains(&victim) {
+        return Err(format!(
+            "zombie {} is the victim: a zombie cannot flood itself",
+            victim.0
+        ));
+    }
+    Ok(match attack {
         AttackSpec::UdpFlood {
-            zombies,
-            victim,
             packets_per_zombie,
             interval,
-        } => {
-            let zombies = zombies
-                .iter()
-                .map(|&z| check_node(z, "zombie"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let flood = FloodAttack {
-                packets_per_zombie: *packets_per_zombie,
-                interval: *interval,
-                ..FloodAttack::new(zombies, check_node(*victim, "victim")?)
-            };
-            Ok(flood.generate(factory, rng))
+            ..
+        } => FloodAttack {
+            packets_per_zombie: *packets_per_zombie,
+            interval: *interval,
+            ..FloodAttack::new(zombies, victim)
         }
+        .generate(factory, rng),
         AttackSpec::SynFlood {
-            zombies,
-            victim,
             syns_per_zombie,
             interval,
-        } => {
-            let zombies = zombies
-                .iter()
-                .map(|&z| check_node(z, "zombie"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let flood = SynFloodAttack {
-                syns_per_zombie: *syns_per_zombie,
-                interval: *interval,
-                spoof: SpoofStrategy::RandomInCluster,
-                ..SynFloodAttack::new(zombies, check_node(*victim, "victim")?)
-            };
-            Ok(flood.generate(factory, rng))
+            ..
+        } => SynFloodAttack {
+            syns_per_zombie: *syns_per_zombie,
+            interval: *interval,
+            spoof: SpoofStrategy::RandomInCluster,
+            ..SynFloodAttack::new(zombies, victim)
         }
+        .generate(factory, rng),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddpm_sim::{CheckpointConfig, SchemeSpec};
+
+    /// A small adaptive flood under `scheme`, with two compromised
+    /// switches framing node 6 so the auth-* collectors reject marks and
+    /// the others see forged ones. The 8-node cube is the size at which
+    /// every shipped scheme fits the marking field (`auth-ppm-edge` does
+    /// not fit at 16 nodes).
+    fn scenario(scheme: SchemeSpec) -> String {
+        let adversary = if scheme == SchemeSpec::None {
+            String::new()
+        } else {
+            r#""adversary": {"switches": [3, 5], "behavior": "frame", "framed": 6, "seed": 9},"#
+                .to_owned()
+        };
+        format!(
+            r#"{{"topology": {{"kind": "hypercube", "n": 3}},
+                "router": "fully_adaptive", "scheme": "{}", "seed": 21,
+                "background_interval": 30, "horizon": 1500, {adversary}
+                "attack": {{"kind": "udp_flood", "zombies": [1, 2, 4], "victim": 7,
+                           "packets_per_zombie": 90, "interval": 9}}}}"#,
+            scheme.as_str()
+        )
+    }
+
+    /// The resident collector's answer must be the answer of a fresh
+    /// collector fed the whole delivered stream.
+    fn check(world: &ScenarioWorld, what: &str) -> OnlineAttribution {
+        let resident = world.identify(None).expect("identify");
+        let fresh = world.rescan(NodeId(world.victim().expect("victim")));
+        assert_eq!(
+            resident, fresh,
+            "{what}: resident collector drifted from a rescan"
+        );
+        resident
+    }
+
+    #[test]
+    fn resident_collector_matches_a_rescan_after_every_stride() {
+        let strides = [13u64, 97, 1, 200, 50, 60];
+        let mut schemes_with_rejections = 0;
+        for scheme in SchemeSpec::ALL {
+            let name = scheme.as_str();
+            let raw = scenario(scheme);
+            let dir = std::env::temp_dir()
+                .join(format!("ddpm-serve-resident-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cfg: ScenarioConfig = serde_json::from_str(&raw).expect("valid config");
+            cfg.checkpoint = Some(CheckpointConfig::new(1_000_000, &dir));
+            let mut world = ScenarioWorld::build(&cfg, Some(&raw), None)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            check(&world, &format!("{name} at build"));
+            let mut resumed: Option<ScenarioWorld> = None;
+            let mut i = 0usize;
+            loop {
+                let stride = strides[i % strides.len()];
+                let done = world.step(stride);
+                let answer = check(&world, &format!("{name} stride {i}"));
+                if let Some(r) = resumed.as_mut() {
+                    assert_eq!(r.step(stride), done, "{name}: resumed world diverged");
+                    let again = check(r, &format!("{name} resumed, stride {i}"));
+                    assert_eq!(
+                        again, answer,
+                        "{name}: resumed answer differs at stride {i}"
+                    );
+                } else if i == 3 {
+                    world.checkpoint_now().expect("checkpoint");
+                    resumed = Some(ScenarioWorld::resume(&dir, None).expect("resume"));
+                }
+                if done {
+                    if answer.rejected > 0 {
+                        schemes_with_rejections += 1;
+                    }
+                    break;
+                }
+                i += 1;
+            }
+            assert!(resumed.is_some(), "{name}: run ended before the checkpoint");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(
+            schemes_with_rejections > 0,
+            "no auth-* collector rejected a mark"
+        );
+    }
+
+    #[test]
+    fn a_zombie_that_is_the_victim_is_a_typed_error() {
+        let raw = scenario(SchemeSpec::Ddpm);
+        let cfg: ScenarioConfig = serde_json::from_str(&raw).expect("valid config");
+        let mut world = ScenarioWorld::build(&cfg, None, None).expect("build");
+        for attack in [
+            r#"{"kind": "udp_flood", "zombies": [2, 5], "victim": 5,
+                "packets_per_zombie": 5, "interval": 4}"#,
+            r#"{"kind": "syn_flood", "zombies": [5], "victim": 5,
+                "syns_per_zombie": 5, "interval": 4}"#,
+        ] {
+            let spec: AttackSpec = serde_json::from_str(attack).expect("valid attack");
+            let err = world.inject(&spec).unwrap_err();
+            assert!(err.contains("zombie 5 is the victim"), "{err}");
+        }
+        assert_eq!(world.injected_packets(), 0);
+        let mut bad = cfg;
+        bad.attack = Some(
+            serde_json::from_str(
+                r#"{"kind": "udp_flood", "zombies": [4], "victim": 4,
+                "packets_per_zombie": 5, "interval": 4}"#,
+            )
+            .expect("valid attack"),
+        );
+        let err = ScenarioWorld::build(&bad, None, None)
+            .err()
+            .expect("build must fail");
+        assert!(err.contains("zombie 4 is the victim"), "{err}");
     }
 }

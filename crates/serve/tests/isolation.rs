@@ -4,8 +4,12 @@
 //! server, and however their strides interleave, each tenant's outcome
 //! digest equals the digest of the same scenario run solo. Tenants are
 //! independent seeded worlds; the multiplexing must be invisible.
+//!
+//! The same holds mid-flight: every `tenant.identify` answer, served
+//! from the tenant's published view without the tenant lock, equals the
+//! solo world's `identify(None)` at the same cycle.
 
-use ddpm_serve::scenario::{run_scenario, ScenarioConfig};
+use ddpm_serve::scenario::{run_scenario, ScenarioConfig, ScenarioWorld};
 use ddpm_serve::{Server, ServerConfig};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -59,6 +63,14 @@ proptest! {
     ) {
         let server = Server::new(ServerConfig { workers: 1, ..ServerConfig::default() });
         let scenarios: Vec<Value> = tenant_knobs.iter().map(|&k| scenario_json(k)).collect();
+        let configs: Vec<ScenarioConfig> = scenarios
+            .iter()
+            .map(|sc| ScenarioConfig::from_json(sc).expect("config"))
+            .collect();
+        let mut solos: Vec<ScenarioWorld> = configs
+            .iter()
+            .map(|cfg| ScenarioWorld::build(cfg, None, None).expect("solo world"))
+            .collect();
         for (i, sc) in scenarios.iter().enumerate() {
             let resp: Value = serde_json::from_str(&server.handle_line(
                 &json!({"verb": "tenant.create", "name": format!("t{i}"),
@@ -81,16 +93,35 @@ proptest! {
                 )).expect("json");
                 prop_assert_eq!(resp["ok"].as_bool(), Some(true), "step failed: {}", resp);
                 done[i] = resp["done"].as_bool() == Some(true);
+                prop_assert_eq!(solos[i].step(cycles), done[i]);
+                let got: Value = serde_json::from_str(&server.handle_line(
+                    &json!({"verb": "tenant.identify", "tenant": format!("t{i}")}).to_string(),
+                )).expect("json");
+                let want = solos[i].identify(None).expect("solo identify");
+                prop_assert_eq!(got["ok"].as_bool(), Some(true), "identify failed: {}", got);
+                prop_assert_eq!(got["cycle"].as_u64(), Some(want.cycle));
+                prop_assert_eq!(got["scheme"].as_str(), Some(want.scheme));
+                prop_assert_eq!(got["victim"].as_u64(), Some(u64::from(want.victim)));
+                prop_assert_eq!(got["observed"].as_u64(), Some(want.observed));
+                prop_assert_eq!(got["rejected"].as_u64(), Some(want.rejected));
+                prop_assert_eq!(got["confidence"].as_f64(), Some(want.confidence));
+                let candidates: Vec<u64> = got["candidates"]
+                    .as_array()
+                    .expect("candidates")
+                    .iter()
+                    .filter_map(Value::as_u64)
+                    .collect();
+                let expected: Vec<u64> = want.candidates.iter().map(|&c| u64::from(c)).collect();
+                prop_assert_eq!(candidates, expected, "tenant t{} at cycle {}", i, want.cycle);
             }
             step += 1;
         }
-        for (i, sc) in scenarios.iter().enumerate() {
+        for (i, cfg) in configs.iter().enumerate() {
             let resp: Value = serde_json::from_str(&server.handle_line(
                 &json!({"verb": "tenant.outcome", "tenant": format!("t{i}")}).to_string(),
             )).expect("json");
             prop_assert_eq!(resp["ok"].as_bool(), Some(true), "outcome failed: {}", resp);
-            let cfg = ScenarioConfig::from_json(sc).expect("config");
-            let solo = run_scenario(&cfg).expect("solo run");
+            let solo = run_scenario(cfg).expect("solo run");
             prop_assert_eq!(
                 resp["digest"].as_str().expect("digest"),
                 solo.digest.as_str(),

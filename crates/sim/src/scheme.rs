@@ -171,7 +171,11 @@ impl Attribution {
 /// may be called at any point (it is *online*), and takes `&mut self` so
 /// implementations can cache expensive work — e.g. PPM graph
 /// reconstruction reuses its last result until a new mark arrives.
-pub trait Collector {
+///
+/// Collectors are `Send`: a resident service keeps one per tenant and
+/// the tenant migrates between worker threads. A collector holds plain
+/// data plus shared references to its (`Sync`) scheme and topology.
+pub trait Collector: Send {
     /// Ingests the marking field of one delivered packet.
     fn observe(&mut self, mf: MarkingField);
 
