@@ -41,7 +41,8 @@
 //!
 //! All adversary randomness (tag guesses, pollution-source rotation) is
 //! derived from [`AdversarySpec::seed`] and the packet id, never from
-//! the run RNG, so serial and sharded engines tamper bit-identically.
+//! the run RNG, so a packet's tampering is independent of event order
+//! and a resumed run tampers bit-identically.
 
 use ddpm_core::prf;
 use ddpm_core::scheme::{forge_plan, ForgePlan};

@@ -1,12 +1,11 @@
 //! E2E simulator throughput (packets/sec) per topology × routing,
 //! telemetry off vs on — the perf baseline the telemetry overhead
-//! contract is measured against (DESIGN.md "Observability") — plus the
-//! serial vs sharded engine sweep over 8×8–64×64 fabrics (DESIGN.md
-//! "Parallel execution", EXPERIMENTS.md E-PERF).
+//! contract is measured against (DESIGN.md "Observability") — plus a
+//! fabric-size sweep over 8×8–64×64 (EXPERIMENTS.md E-PERF).
 //!
 //! Besides the Criterion console report, the run writes
 //! `BENCH_sim_throughput.json` at the workspace root: one row per
-//! (topology, router, telemetry, engine) cell with median packets/sec,
+//! (topology, router, telemetry) cell with median packets/sec,
 //! so later PRs can diff throughput without re-parsing bench output.
 //! The JSON cells are measured round-robin — every cell gets one run
 //! per round, rounds repeat, the row is the per-cell median — so slow
@@ -20,7 +19,7 @@ use ddpm_attack::PacketFactory;
 use ddpm_core::DdpmScheme;
 use ddpm_net::{AddrMap, L4};
 use ddpm_routing::{Router, SelectionPolicy};
-use ddpm_sim::{Engine, SimConfig, SimTime, Simulation};
+use ddpm_sim::{SimConfig, SimTime, Simulation};
 use ddpm_telemetry::{shared, NullSink, TelemetryConfig};
 use ddpm_topology::{FaultSet, NodeId, Topology};
 use serde_json::json;
@@ -47,9 +46,8 @@ fn grid() -> Vec<(Topology, Router)> {
 }
 
 /// One full simulation: inject `PACKETS` uniform benign packets, run to
-/// quiescence under `engine`, return packets injected (the throughput
-/// numerator).
-fn run_sim_on(topo: &Topology, router: Router, tcfg: TelemetryConfig, engine: Engine) -> u64 {
+/// quiescence, return packets injected (the throughput numerator).
+fn run_sim(topo: &Topology, router: Router, tcfg: TelemetryConfig) -> u64 {
     let scheme = DdpmScheme::new(topo).expect("bench shapes fit the MF");
     let map = AddrMap::for_topology(topo);
     let faults = FaultSet::none();
@@ -60,11 +58,7 @@ fn run_sim_on(topo: &Topology, router: Router, tcfg: TelemetryConfig, engine: En
         router,
         SelectionPolicy::ProductiveFirstRandom,
         &scheme,
-        SimConfig::seeded(42)
-            .to_builder()
-            .telemetry(tcfg)
-            .engine(engine)
-            .build(),
+        SimConfig::seeded(42).to_builder().telemetry(tcfg).build(),
     );
     let n = topo.num_nodes() as u32;
     for k in 0..PACKETS {
@@ -75,12 +69,8 @@ fn run_sim_on(topo: &Topology, router: Router, tcfg: TelemetryConfig, engine: En
         }
         sim.schedule(SimTime(k * INJECT_STRIDE), factory.benign(s, d, L4::udp(1, 7), 128));
     }
-    ddpm_engine::run(&mut sim);
+    sim.run();
     PACKETS
-}
-
-fn run_sim(topo: &Topology, router: Router, tcfg: TelemetryConfig) -> u64 {
-    run_sim_on(topo, router, tcfg, Engine::Serial)
 }
 
 /// Injection cadence — packet `k` enters at cycle `k*3`.
@@ -129,14 +119,14 @@ fn run_ckpt_batch(topo: &Topology, router: Router, dir: Option<&std::path::Path>
             }
             sim.schedule(SimTime(k * INJECT_STRIDE), factory.benign(s, d, L4::udp(1, 7), 128));
         }
-        if !ddpm_engine::run_until(&mut sim, pause_at) {
+        if !sim.run_until(pause_at) {
             if i % CKPT_EVERY == CKPT_EVERY - 1 {
                 if let Some(dir) = dir {
                     ddpm_checkpoint::store(dir, 0, "", &sim.snapshot(), 2)
                         .expect("bench checkpoint store");
                 }
             }
-            ddpm_engine::run(&mut sim);
+            sim.run();
         }
     }
     CKPT_BATCH as u64 * PACKETS
@@ -155,9 +145,8 @@ fn variants() -> [Variant; 2] {
     ]
 }
 
-/// The engine-sweep fabrics: 8×8 up to 64×64, with the 32×32 torus as
-/// the headline speedup shape.
-fn engine_fabrics() -> Vec<Topology> {
+/// The fabric-size sweep: 8×8 up to 64×64.
+fn fabrics() -> Vec<Topology> {
     vec![
         Topology::mesh2d(8),
         Topology::torus(&[16, 16]),
@@ -166,30 +155,19 @@ fn engine_fabrics() -> Vec<Topology> {
     ]
 }
 
-/// The swept engines: the serial loop, then the sharded engine at 1
-/// (serial-fallback overhead check), 2, 4 and 8 spatial shards.
-fn engines() -> Vec<(String, Engine)> {
-    let mut e = vec![("serial".to_string(), Engine::Serial)];
-    for shards in [1usize, 2, 4, 8] {
-        e.push((format!("sharded-{shards}"), Engine::Sharded { shards }));
-    }
-    e
-}
-
 /// One JSON cell: its row labels plus a closure running the full
 /// simulation it measures.
 struct Cell {
     topology: String,
     router: String,
     telemetry: &'static str,
-    engine: String,
     packets: u64,
     run: Box<dyn Fn() -> u64>,
 }
 
-/// Every JSON cell, in row order: the telemetry grid, then the fabric ×
-/// engine sweep with a serial telemetry-on row per fabric (the batched
-/// sink fan-out contract, DESIGN.md §9, measured on the same shapes).
+/// Every JSON cell, in row order: the telemetry grid, then the fabric
+/// sweep, telemetry off and on per fabric (the batched sink fan-out
+/// contract, DESIGN.md §9, measured on the same shapes).
 fn cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for (topo, router) in grid() {
@@ -199,36 +177,23 @@ fn cells() -> Vec<Cell> {
                 topology: topo.describe(),
                 router: router.name().to_string(),
                 telemetry: tname,
-                engine: "serial".to_string(),
                 packets: PACKETS,
                 run: Box::new(move || run_sim(&t, router, tcfg())),
             });
         }
     }
-    for topo in engine_fabrics() {
+    for topo in fabrics() {
         let router = Router::DimensionOrder;
-        for (ename, engine) in engines() {
+        for (tname, tcfg) in variants() {
             let t = topo.clone();
             cells.push(Cell {
                 topology: topo.describe(),
                 router: router.name().to_string(),
-                telemetry: "telemetry-off",
-                engine: ename,
+                telemetry: tname,
                 packets: PACKETS,
-                run: Box::new(move || run_sim_on(&t, router, TelemetryConfig::off(), engine)),
+                run: Box::new(move || run_sim(&t, router, tcfg())),
             });
         }
-        let t = topo.clone();
-        cells.push(Cell {
-            topology: topo.describe(),
-            router: router.name().to_string(),
-            telemetry: "telemetry-on",
-            engine: "serial".to_string(),
-            packets: PACKETS,
-            run: Box::new(move || {
-                run_sim(&t, router, TelemetryConfig::events_to(shared(NullSink)))
-            }),
-        });
     }
     // Checkpoint overhead on the largest fabric: serial 64×64 torus,
     // ten mid-run on-disk checkpoints per ~2 s measured batch, diffed
@@ -243,7 +208,6 @@ fn cells() -> Vec<Cell> {
             topology: topo.describe(),
             router: router.name().to_string(),
             telemetry: "checkpoint-off",
-            engine: "serial".to_string(),
             packets: batch,
             run: Box::new(move || run_ckpt_batch(&t, router, None)),
         });
@@ -253,7 +217,6 @@ fn cells() -> Vec<Cell> {
             topology: topo.describe(),
             router: router.name().to_string(),
             telemetry: "checkpoint-10pct",
-            engine: "serial".to_string(),
             packets: batch,
             run: Box::new(move || run_ckpt_batch(&t, router, Some(&dir))),
         });
@@ -271,24 +234,6 @@ fn bench_throughput(c: &mut Criterion) {
             let label = format!("{}/{}/{tname}", topo.describe(), router.name());
             group.bench_with_input(BenchmarkId::from(label), &(), |b, ()| {
                 b.iter_batched(|| (), |()| run_sim(&topo, router, tcfg()), BatchSize::SmallInput);
-            });
-        }
-    }
-    // The Criterion console entries for the engine sweep cover the
-    // headline 32×32 torus; the JSON rows cover the full grid.
-    for topo in engine_fabrics() {
-        let router = Router::DimensionOrder;
-        if topo.describe() != "32x32 torus" {
-            continue;
-        }
-        for (ename, engine) in engines() {
-            let label = format!("{}/{}/{ename}", topo.describe(), router.name());
-            group.bench_with_input(BenchmarkId::from(label), &(), |b, ()| {
-                b.iter_batched(
-                    || (),
-                    |()| run_sim_on(&topo, router, TelemetryConfig::off(), engine),
-                    BatchSize::SmallInput,
-                );
             });
         }
     }
@@ -311,7 +256,7 @@ fn bench_throughput(c: &mut Criterion) {
             "topology": cell.topology,
             "router": cell.router,
             "telemetry": cell.telemetry,
-            "engine": cell.engine,
+            "engine": "serial",
             "packets": cell.packets,
             "packets_per_sec": pps[ROUNDS / 2],
         }));

@@ -1,7 +1,6 @@
 //! Report plumbing: the run context every experiment receives,
 //! plain-text tables and machine-readable output.
 
-use ddpm_sim::Engine;
 use ddpm_telemetry::TelemetryConfig;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
@@ -29,11 +28,6 @@ pub struct RunCtx {
     /// Where the soak writes repro bundles on failure (`--soak-dir`).
     /// Defaults to `target/soak-bundles`.
     pub soak_dir: Option<PathBuf>,
-    /// Pin the execution engine (`--engine serial|sharded` plus
-    /// `--shards N`). `None` leaves each experiment's own choice in
-    /// place (the soak fuzzes the engine axis; everything else runs
-    /// serial).
-    pub engine: Option<Engine>,
 }
 
 impl RunCtx {

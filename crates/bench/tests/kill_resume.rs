@@ -1,8 +1,7 @@
 //! The kill-and-resume chaos harness: proof that checkpoint/restore is
 //! crash-consistent and bit-identical.
 //!
-//! For every shipped scenario file, under both the serial and the
-//! 4-shard engine, the harness:
+//! For every shipped scenario file, the harness:
 //!
 //! 1. computes the clean reference digest in-process (no checkpointing);
 //! 2. spawns the `scenario` binary as a child process with a
@@ -23,7 +22,6 @@
 //! evidence as an artifact when the harness fails.
 
 use ddpm_bench::scenario_config::{resume_scenario, run_scenario, ScenarioConfig};
-use ddpm_sim::Engine;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::process::Command;
@@ -68,16 +66,12 @@ fn shipped_scenarios() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Splices engine and checkpoint settings into a scenario's JSON text.
-/// `Map::insert` replaces existing keys, so files that already pin an
-/// engine (e.g. `soak_chaos_mix`) are overridden cleanly.
-fn spliced(raw: &str, engine_name: &str, shards: u64, checkpoint: Value) -> String {
+/// Splices a checkpoint block into a scenario's JSON text.
+fn spliced(raw: &str, checkpoint: Value) -> String {
     let Value::Object(mut map) = serde_json::from_str::<Value>(raw).expect("scenario JSON")
     else {
         panic!("scenario file must be a JSON object")
     };
-    map.insert("engine".to_string(), json!(engine_name));
-    map.insert("shards".to_string(), json!(shards));
     map.insert("checkpoint".to_string(), checkpoint);
     serde_json::to_string_pretty(&Value::Object(map)).expect("serialises")
 }
@@ -87,38 +81,28 @@ struct Killed {
     reference: String,
 }
 
-/// Runs one (scenario × engine) cell up to and including the kill:
-/// reference digest, child spawn, crash, checkpoint sanity. Returns the
-/// checkpoint dir ready for resume.
-fn kill_cell(name: &str, raw: &str, engine_name: &str, shards: u64) -> Killed {
-    let tag = format!("{name}-{engine_name}{shards}");
-    let root = work_root().join(&tag);
+/// Runs one scenario up to and including the kill: reference digest,
+/// child spawn, crash, checkpoint sanity. Returns the checkpoint dir
+/// ready for resume.
+fn kill_cell(tag: &str, raw: &str) -> Killed {
+    let root = work_root().join(tag);
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("work dir");
 
-    // Clean reference, same engine, no checkpointing.
-    let mut refcfg: ScenarioConfig =
-        serde_json::from_str(raw).unwrap_or_else(|e| panic!("{name}: {e}"));
-    refcfg.engine = match engine_name {
-        "serial" => Engine::Serial,
-        _ => Engine::Sharded {
-            shards: shards as usize,
-        },
-    };
+    // Clean reference, no checkpointing.
+    let refcfg: ScenarioConfig = serde_json::from_str(raw).unwrap_or_else(|e| panic!("{tag}: {e}"));
     let reference = run_scenario(&refcfg)
-        .unwrap_or_else(|e| panic!("{name} reference run: {e}"))
+        .unwrap_or_else(|e| panic!("{tag} reference run: {e}"))
         .digest;
 
     // Seeded kill point: somewhere past the second checkpoint (so the
     // truncation case always has a fallback) but well before the run
-    // drains, fuzzed per (scenario, engine).
+    // drains, fuzzed per scenario.
     let every = (refcfg.horizon / 10).max(1);
-    let crash_at = 2 * every + 1 + fnv(&tag) % (refcfg.horizon / 2).max(1);
+    let crash_at = 2 * every + 1 + fnv(tag) % (refcfg.horizon / 2).max(1);
     let ckpt_dir = root.join("ckpt");
     let cfg_text = spliced(
         raw,
-        engine_name,
-        shards,
         json!({
             "every": every,
             "dir": ckpt_dir.display().to_string(),
@@ -158,23 +142,19 @@ fn kill_cell(name: &str, raw: &str, engine_name: &str, shards: u64) -> Killed {
 fn sigkill_and_resume_reproduces_every_scenario_digest() {
     let mut cells = 0;
     for (name, raw) in shipped_scenarios() {
-        for (engine_name, shards) in [("serial", 1u64), ("sharded", 4)] {
-            let killed = kill_cell(&name, &raw, engine_name, shards);
-            let resumed = resume_scenario(&killed.ckpt_dir)
-                .unwrap_or_else(|e| panic!("{name}/{engine_name}: resume failed: {e}"));
-            assert_eq!(
-                resumed.digest, killed.reference,
-                "{name}/{engine_name}: resumed run diverged from the uninterrupted reference"
-            );
-            cells += 1;
-            if std::env::var_os("DDPM_KILL_RESUME_DIR").is_none() {
-                let _ = std::fs::remove_dir_all(work_root().join(format!(
-                    "{name}-{engine_name}{shards}"
-                )));
-            }
+        let killed = kill_cell(&name, &raw);
+        let resumed = resume_scenario(&killed.ckpt_dir)
+            .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
+        assert_eq!(
+            resumed.digest, killed.reference,
+            "{name}: resumed run diverged from the uninterrupted reference"
+        );
+        cells += 1;
+        if std::env::var_os("DDPM_KILL_RESUME_DIR").is_none() {
+            let _ = std::fs::remove_dir_all(work_root().join(&name));
         }
     }
-    assert!(cells >= 10, "expected 5 scenarios x 2 engines, ran {cells}");
+    assert!(cells >= 8, "expected the 8 shipped scenarios, ran {cells}");
 }
 
 #[test]
@@ -183,7 +163,8 @@ fn truncated_newest_checkpoint_falls_back_to_predecessor() {
         .into_iter()
         .find(|(n, _)| n == "benign_mesh_baseline")
         .expect("baseline scenario shipped");
-    let killed = kill_cell(&format!("{name}-torn"), &raw, "serial", 1);
+    let tag = format!("{name}-torn");
+    let killed = kill_cell(&tag, &raw);
 
     // Tear the newest checkpoint mid-payload, as a crash during a
     // non-atomic write would (the store discipline makes this
@@ -200,6 +181,6 @@ fn truncated_newest_checkpoint_falls_back_to_predecessor() {
         "resume from the predecessor checkpoint diverged"
     );
     if std::env::var_os("DDPM_KILL_RESUME_DIR").is_none() {
-        let _ = std::fs::remove_dir_all(work_root().join(format!("{name}-torn-serial1")));
+        let _ = std::fs::remove_dir_all(work_root().join(&tag));
     }
 }

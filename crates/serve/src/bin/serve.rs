@@ -13,7 +13,7 @@
 //! SIGINT/SIGTERM trigger a graceful drain: in-flight strides finish,
 //! every unfinished tenant writes a final checkpoint, and the process
 //! exits 0. Restarting with the same `--checkpoint-root` resumes every
-//! tenant bit-identically (the engine's determinism contract).
+//! tenant bit-identically (the simulator's determinism contract).
 
 use ddpm_serve::{Server, ServerConfig};
 use serde_json::json;

@@ -15,7 +15,7 @@
 //! delivered stream so far — attribution mid-flight, not post-mortem.
 //!
 //! Determinism is the load-bearing contract, inherited from
-//! `ddpm_engine::run_until`: a tenant advanced in arbitrary
+//! [`ddpm_sim::Simulation::run_until`]: a tenant advanced in arbitrary
 //! interleaved strides reports the same [`scenario::ScenarioOutcome`]
 //! digest as the standalone run of its scenario. Checkpoints make the
 //! service crash-consistent — with a checkpoint root configured, a

@@ -12,10 +12,8 @@
 //! is the same build/run/outcome machinery split apart so a simulation
 //! can be advanced in strides, injected into and queried mid-flight.
 
-use ddpm_sim::{
-    AdversaryBehavior, AdversarySpec, CheckpointConfig, Engine, SchemeSpec, WatchdogConfig,
-};
 use ddpm_routing::Router;
+use ddpm_sim::{AdversaryBehavior, AdversarySpec, CheckpointConfig, SchemeSpec, WatchdogConfig};
 use ddpm_topology::{FaultEvent, NodeId, Topology, MAX_DIMS};
 use serde_json::{Error as JsonError, FromJson, Value};
 use std::path::Path;
@@ -38,6 +36,13 @@ pub use crate::world::ScenarioWorld;
 /// `"fault_retires": 6` would get fail-fast behaviour with no hint —
 /// so every object in the schema is checked against its full key list
 /// and the error names both the offender and the accepted spellings.
+/// The error for a scenario (or soak repro bundle) that still selects
+/// an execution engine. The `engine`/`shards` knobs were removed rather
+/// than renamed, so the loader names the removal instead of reporting a
+/// generic unknown field.
+pub const ENGINE_KNOBS_REMOVED: &str =
+    "`engine`/`shards` were removed: the simulator has one serial engine; delete the key";
+
 pub(crate) fn reject_unknown(v: &Value, what: &str, allowed: &[&str]) -> Result<(), JsonError> {
     let Some(obj) = v.as_object() else {
         return Ok(()); // non-objects are diagnosed by the caller
@@ -594,11 +599,6 @@ pub struct ScenarioConfig {
     /// (`"invariants": true`); the runner reports any violations in its
     /// output instead of panicking. Default false.
     pub invariants: bool,
-    /// Execution engine (`"engine": "serial" | "sharded"` plus
-    /// `"shards": N`; default serial). The sharded engine is
-    /// deterministically equivalent to the serial loop, so this knob
-    /// only changes wall-clock behaviour, never results.
-    pub engine: Engine,
     /// Crash-consistent checkpointing (`"checkpoint": {...}` block;
     /// absent = off). Checkpointing is digest-neutral: a checkpointed
     /// run — and a run resumed from any of its checkpoints — reports
@@ -610,6 +610,9 @@ impl FromJson for ScenarioConfig {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         if v.as_object().is_none() {
             return Err(JsonError::msg("scenario config must be a JSON object"));
+        }
+        if v.get("engine").is_some() || v.get("shards").is_some() {
+            return Err(JsonError::msg(ENGINE_KNOBS_REMOVED));
         }
         reject_unknown(
             v,
@@ -631,8 +634,6 @@ impl FromJson for ScenarioConfig {
                 "fault_retries",
                 "watchdog",
                 "invariants",
-                "engine",
-                "shards",
                 "checkpoint",
             ],
         )?;
@@ -705,23 +706,6 @@ impl FromJson for ScenarioConfig {
                 .as_bool()
                 .ok_or_else(|| JsonError::msg("`invariants` must be a boolean"))?,
         };
-        let shards = opt_u64(v, "shards", 0)? as usize;
-        let engine = match v.get("engine") {
-            None | Some(Value::Null) => {
-                if shards > 1 {
-                    // `"shards": N` alone is an unambiguous ask.
-                    Engine::Sharded { shards }
-                } else {
-                    Engine::Serial
-                }
-            }
-            Some(e) => {
-                let name = e
-                    .as_str()
-                    .ok_or_else(|| JsonError::msg("`engine` must be a string"))?;
-                Engine::parse(name, shards.max(1)).map_err(JsonError::msg)?
-            }
-        };
         Ok(Self {
             topology: TopologySpec::from_json(req(v, "topology")?)?,
             router: RouterSpec::from_json(req(v, "router")?)?,
@@ -742,7 +726,6 @@ impl FromJson for ScenarioConfig {
             fault_retries: opt_u32(v, "fault_retries", 0)?,
             watchdog: watchdog_block(v)?,
             invariants,
-            engine,
             checkpoint: checkpoint_block(v)?,
         })
     }
@@ -760,9 +743,9 @@ pub struct ScenarioOutcome {
     /// with final marking fields, timestamps, hops), the typed drop
     /// stream, every invariant violation, and the full [`SimStats`],
     /// plus human-readable counts. Two runs are behaviourally
-    /// identical iff their digests match — the equivalence suite uses
-    /// this to prove the sharded engine bit-identical to the serial
-    /// loop, and the kill-and-resume harness to prove resume exact.
+    /// identical iff their digests match — the conformance corpus pins
+    /// this, and the kill-and-resume harness uses it to prove resume
+    /// exact.
     ///
     /// Alongside the overall hash the digest carries one FNV-1a hash
     /// per stream (`D=` delivered packets, `X=` drops, `V=` invariant
@@ -1122,6 +1105,52 @@ mod tests {
         .to_string();
         assert!(err.contains("unknown field `fault_retires`"), "{err}");
         assert!(err.contains("fault_retries"), "lists accepted fields: {err}");
+    }
+
+    #[test]
+    fn removed_engine_knobs_are_a_named_error() {
+        let base = |extra: &str| {
+            format!(
+                r#"{{
+                    "topology": {{"kind": "mesh", "dims": [4, 4]}},
+                    "router": "dimension_order",
+                    "scheme": "ddpm",
+                    "horizon": 600,
+                    "attack": {{"kind": "udp_flood", "zombies": [1, 6], "victim": 14,
+                               "packets_per_zombie": 40, "interval": 8}}{extra}
+                }}"#
+            )
+        };
+        for extra in [
+            r#", "engine": "sharded", "shards": 2"#,
+            r#", "engine": "serial""#,
+            r#", "shards": 4"#,
+        ] {
+            let err = serde_json::from_str::<ScenarioConfig>(&base(extra))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(ENGINE_KNOBS_REMOVED), "{extra}: {err}");
+        }
+
+        // A checkpoint whose embedded scenario still selects the sharded
+        // engine is refused on resume with the same error.
+        let raw = base("");
+        let dir = tmpdir("engine-src");
+        let mut cfg: ScenarioConfig = serde_json::from_str(&raw).expect("valid config");
+        cfg.checkpoint = Some(CheckpointConfig::new(200, &dir));
+        run_scenario_with_source(&cfg, &raw).expect("checkpointed run");
+        let (_, ckpt) = ddpm_checkpoint::latest(&dir, None)
+            .expect("scan")
+            .best
+            .expect("a checkpoint was written");
+        let stale = base(r#", "engine": "sharded", "shards": 2"#);
+        let restamped = tmpdir("engine-dst");
+        let fp = ddpm_checkpoint::fingerprint(&stale);
+        ddpm_checkpoint::store(&restamped, fp, &stale, &ckpt.snapshot, 2).expect("store");
+        let err = resume_scenario(&restamped).unwrap_err();
+        assert!(err.contains(ENGINE_KNOBS_REMOVED), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&restamped).unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! `<root>/<name>/` at the configured cycle cadence, alongside a
 //! `tenant.json` metadata file; [`Server::resume_tenants`] rebuilds
 //! the full tenant set from such a root after a crash or drain, and
-//! the engine's determinism contract makes the resumed runs
+//! the simulator's determinism contract makes the resumed runs
 //! bit-identical continuations.
 
 use crate::proto::{self, Envelope, Request};

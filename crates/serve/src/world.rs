@@ -124,11 +124,11 @@ impl<'a> Tally<'a> {
 ///
 /// Built once from a [`ScenarioConfig`] (optionally restoring a
 /// checkpoint), then advanced with [`step`](Self::step) — each call a
-/// bounded `ddpm_engine::run_until` segment — until
-/// [`done`](Self::done). Stride boundaries are digest-neutral by the
-/// engine's contract, so however the strides are sized and
-/// interleaved, [`outcome`](Self::outcome) reports exactly what the
-/// one-shot runner would have.
+/// bounded [`Simulation::run_until`] segment — until
+/// [`done`](Self::done). Stride boundaries are digest-neutral (the
+/// simulator pauses only at clean event boundaries), so however the
+/// strides are sized and interleaved, [`outcome`](Self::outcome)
+/// reports exactly what the one-shot runner would have.
 ///
 /// The struct is self-referential: `sim` borrows the boxed topology,
 /// fault set and marker; `adversary` and `resident` borrow the boxed
@@ -295,10 +295,7 @@ impl ScenarioWorld {
             workload.extend(generate_attack(attack, &mut factory, &mut rng, &check_node)?);
         }
 
-        let mut sim_cfg = SimConfig::seeded(cfg.seed)
-            .to_builder()
-            .engine(cfg.engine)
-            .build();
+        let mut sim_cfg = SimConfig::seeded(cfg.seed);
         if let Some(spec) = cfg.scheme {
             sim_cfg = sim_cfg.to_builder().scheme(spec).build();
         }
@@ -472,8 +469,7 @@ impl ScenarioWorld {
     }
 
     /// Advances the world by one bounded stride of at most `cycles`
-    /// simulated cycles (the sharded engine may overshoot to its next
-    /// window barrier — still a clean, digest-neutral boundary).
+    /// simulated cycles (at least up to the earliest pending event).
     /// Returns `true` once the run has reached quiescence; further
     /// calls are no-ops.
     pub fn step(&mut self, cycles: u64) -> bool {
@@ -488,7 +484,7 @@ impl ScenarioWorld {
             Some(t) => base.max(t.saturating_add(1)),
             None => base,
         };
-        self.done = ddpm_engine::run_until(&mut self.sim, limit);
+        self.done = self.sim.run_until(limit);
         self.done
     }
 
@@ -623,7 +619,7 @@ impl ScenarioWorld {
             .map_err(|e| format!("checkpoint into {}: {e}", ck.dir.display()))
     }
 
-    /// Runs the world to completion: the plain engine loop, or — with a
+    /// Runs the world to completion: the plain event loop, or — with a
     /// checkpoint block configured — the segmented checkpointing loop
     /// (`every`-cycle strides, atomic checkpoint at each pause, the
     /// `crash_at` abort hook, cooperative SIGINT handling).
@@ -634,7 +630,7 @@ impl ScenarioWorld {
     pub fn run_to_completion(&mut self) -> Result<(), String> {
         match self.cfg.checkpoint.clone() {
             None => {
-                ddpm_engine::run(&mut self.sim);
+                self.sim.run();
                 self.done = true;
                 Ok(())
             }
@@ -644,9 +640,9 @@ impl ScenarioWorld {
 
     /// Segmented execution with on-disk checkpoints.
     ///
-    /// Runs the engines in `every`-cycle segments, writing an atomic
+    /// Runs the simulation in `every`-cycle segments, writing an atomic
     /// checkpoint (temp + fsync + rename, see `ddpm-checkpoint`) at each
-    /// pause. Pausing and continuing the engines is digest-neutral by
+    /// pause. Pausing and continuing the simulation is digest-neutral by
     /// construction — `run_until` stops only at clean event boundaries —
     /// so checkpointed, resumed and plain runs all report the same
     /// outcome.
@@ -669,13 +665,13 @@ impl ScenarioWorld {
                 // and die there. Not-done after draining every event below
                 // `crash` means simulated time has reached the crash point
                 // (the next event is at or past it), so abort either way.
-                if ddpm_engine::run_until(&mut self.sim, crash) {
+                if self.sim.run_until(crash) {
                     self.done = true;
                     return Ok(());
                 }
                 std::process::abort();
             }
-            if ddpm_engine::run_until(&mut self.sim, target) {
+            if self.sim.run_until(target) {
                 self.done = true;
                 return Ok(());
             }

@@ -60,8 +60,8 @@ fn every_shipped_scenario_stride_run_matches_the_pinned_digest() {
     let scenarios = shipped_scenarios();
     assert!(scenarios.len() >= 5, "expected the shipped scenario files");
     // Deliberately awkward stride schedule: a tiny opener, a huge
-    // middle, ragged remainders — nothing lines up with event cadence,
-    // checkpoint cadence or the sharded engine's window barriers.
+    // middle, ragged remainders — nothing lines up with event cadence
+    // or checkpoint cadence.
     let strides = [13u64, 50_000, 977, 1, 4096];
     for (name, _raw, cfg) in scenarios {
         let want = pinned
@@ -153,4 +153,41 @@ fn online_identify_at_quiescence_matches_the_outcome_attribution() {
     assert_eq!(candidates, online.candidates);
     let confidence = att["confidence"].as_f64().expect("confidence");
     assert!((confidence - online.confidence).abs() < 1e-12);
+}
+
+fn shipped(name: &str) -> ScenarioConfig {
+    shipped_scenarios()
+        .into_iter()
+        .find(|(n, ..)| n == name)
+        .map(|(.., cfg)| cfg)
+        .unwrap_or_else(|| panic!("shipped scenario {name} present"))
+}
+
+/// Strides issued after quiescence are cheap no-ops: the world stays
+/// done, the clock stays frozen and the outcome is unchanged.
+#[test]
+fn run_until_after_quiescence_is_a_cheap_true_noop() {
+    let name = "syn_flood_torus";
+    let mut world = ScenarioWorld::build(&shipped(name), None, None).expect("builds");
+    while !world.step(10_000) {}
+    let cycle = world.now_cycles();
+    for _ in 0..3 {
+        assert!(world.step(1234));
+        assert_eq!(world.now_cycles(), cycle);
+    }
+    assert_eq!(world.outcome().digest, pinned_digests()[name]);
+}
+
+/// `step` clamps a zero stride to the next pending event, so a caller
+/// looping on `step(0)` terminates rather than livelocking.
+#[test]
+fn zero_stride_makes_progress_instead_of_spinning() {
+    let name = "syn_flood_torus";
+    let mut world = ScenarioWorld::build(&shipped(name), None, None).expect("builds");
+    let mut calls = 0u64;
+    while !world.step(0) {
+        calls += 1;
+        assert!(calls < 10_000_000, "zero stride must still advance time");
+    }
+    assert_eq!(world.outcome().digest, pinned_digests()[name]);
 }

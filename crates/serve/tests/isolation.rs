@@ -16,10 +16,10 @@ use proptest::prelude::*;
 use serde_json::{json, FromJson, Value};
 
 /// A small scenario from a handful of orthogonal knobs, varied enough
-/// to cover both topology families, both engines, plugin schemes and
-/// adversaries, small enough that a proptest case stays quick.
-fn scenario_json(knobs: (u8, u8, u64, bool)) -> Value {
-    let (shape, scheme, seed, sharded) = knobs;
+/// to cover the topology families and plugin schemes, small enough that
+/// a proptest case stays quick.
+fn scenario_json(knobs: (u8, u8, u64)) -> Value {
+    let (shape, scheme, seed) = knobs;
     let topology = match shape % 3 {
         0 => json!({"kind": "torus", "dims": [5, 5]}),
         1 => json!({"kind": "mesh", "dims": [4, 4]}),
@@ -36,19 +36,11 @@ fn scenario_json(knobs: (u8, u8, u64, bool)) -> Value {
         "zombies": [1, 9], "victim": 13,
         "packets_per_zombie": 60, "interval": 9
     });
-    if sharded {
-        json!({
-            "topology": topology, "router": "fully_adaptive", "scheme": scheme,
-            "seed": seed, "background_interval": 40, "horizon": 900,
-            "attack": attack, "engine": "sharded", "shards": 2,
-        })
-    } else {
-        json!({
-            "topology": topology, "router": "fully_adaptive", "scheme": scheme,
-            "seed": seed, "background_interval": 40, "horizon": 900,
-            "attack": attack,
-        })
-    }
+    json!({
+        "topology": topology, "router": "fully_adaptive", "scheme": scheme,
+        "seed": seed, "background_interval": 40, "horizon": 900,
+        "attack": attack,
+    })
 }
 
 proptest! {
@@ -58,7 +50,7 @@ proptest! {
     /// the wire-facing dispatch path, each digest == its solo run.
     #[test]
     fn interleaved_tenants_match_their_solo_digests(
-        tenant_knobs in pvec((any::<u8>(), any::<u8>(), any::<u64>(), any::<bool>()), 2..5),
+        tenant_knobs in pvec((any::<u8>(), any::<u8>(), any::<u64>()), 2..5),
         stride_seq in pvec(1u64..6000, 8..25),
     ) {
         let server = Server::new(ServerConfig { workers: 1, ..ServerConfig::default() });

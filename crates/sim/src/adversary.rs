@@ -24,15 +24,16 @@
 //!
 //! The spec is plain data so the simulator can flag `MarkTamper`
 //! telemetry at compromised switches, the checkpoint codec can persist
-//! the adversary's dynamic state ([`AdversaryState`]), and both engines
-//! drive the same deterministic behavior from the run RNG.
+//! the adversary's dynamic state ([`AdversaryState`]), and a resumed
+//! run drives the same deterministic behavior from the run RNG.
 
 use ddpm_topology::NodeId;
 
 /// How a compromised switch's marking plane misbehaves.
 ///
 /// Every behavior is deterministic given the adversary seed and the
-/// packet id, so serial and sharded runs tamper identically.
+/// packet id, so a packet's tampering does not depend on how other
+/// packets' events interleave.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdversaryBehavior {
     /// Silently skip the marking update (the §6.2 "stale mark" threat).

@@ -6,19 +6,15 @@ use crate::filter::{Filter, NoFilter};
 use crate::invariant::{InvariantChecker, Violation};
 use crate::mark::{MarkEnv, Marker};
 use crate::snapshot::{FlightSnap, SimSnapshot, SlotSnap};
-use crate::stats::{FaultStats, SimStats};
+use crate::stats::SimStats;
 use crate::time::SimTime;
-use crate::watchdog::WatchdogStats;
-use ddpm_net::{Packet, PacketId, TrafficClass};
+use ddpm_net::{Packet, TrafficClass};
 use ddpm_routing::{Candidate, RouteCtx, RouteState, Router, SelectionPolicy};
-use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, RetryKind, Telemetry, TelemetryConfig};
-use ddpm_topology::{
-    Coord, Direction, FaultEvent, FaultSchedule, FaultSet, NodeId, Partition, Topology,
-};
+use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, RetryKind, Telemetry};
+use ddpm_topology::{Coord, Direction, FaultEvent, FaultSchedule, FaultSet, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Why a packet was discarded.
@@ -111,9 +107,9 @@ struct InFlight {
     /// Per-packet RNG stream, seeded from `(SimConfig::seed, handle)`.
     /// Giving every packet its own stream (instead of one global RNG
     /// consumed in processing order) makes each packet's random
-    /// decisions independent of how *other* packets' events interleave
-    /// — the property that lets the sharded engine reproduce the serial
-    /// run bit-for-bit.
+    /// decisions independent of how *other* packets' events interleave,
+    /// so the conformance digests pin each packet's behaviour on its
+    /// own and a restored checkpoint continues every stream exactly.
     rng: SmallRng,
     injected_at: SimTime,
     path: Vec<NodeId>,
@@ -164,7 +160,7 @@ const F_LAUNCHED: u8 = 1 << 1;
 const F_ESCAPED: u8 = 1 << 2;
 
 /// Panic message shared by every accessor that requires residency.
-const RESIDENT: &str = "packet resident in this shard";
+const RESIDENT: &str = "packet resident in the arena";
 
 /// Fabrics up to this many nodes get a dense node → [`Coord`] table on
 /// the simulation (the per-hop `coord()` divisions dominate the release
@@ -185,12 +181,10 @@ const COORD_CACHE_MAX_NODES: u64 = 1 << 17;
 /// Handle indices are never recycled — the index doubles as the
 /// canonical `pkey` and the per-packet RNG seed — and the slot's
 /// generation bump on death turns any later access into a detectable
-/// stale-handle event, exactly like the slab it replaces. In the
-/// sharded engine a slot is empty while the packet is owned by another
-/// shard (handles are global, storage is per-shard).
+/// stale-handle event, exactly like the slab it replaces.
 struct Pkts {
-    /// Per-slot free counts (bumped on death, untouched by handoffs) —
-    /// the generation half of the old slab's handle check.
+    /// Per-slot free counts (bumped on death) — the generation half of
+    /// the old slab's handle check.
     gens: Vec<u32>,
     /// Packed `F_*` booleans. Occupancy itself is `cold[i].is_some()`.
     flags: Vec<u8>,
@@ -262,7 +256,7 @@ impl Pkts {
         i
     }
 
-    /// Grows the table to `n` empty slots (shard setup).
+    /// Grows the table to `n` empty slots (checkpoint restore).
     fn ensure_len(&mut self, n: usize) {
         while self.gens.len() < n {
             self.gens.push(0);
@@ -344,28 +338,6 @@ impl Pkts {
         }
     }
 
-    /// Removes the packet for a cross-shard handoff (the slot stays
-    /// valid — the packet is alive, just resident elsewhere).
-    fn take(&mut self, i: usize) -> InFlight {
-        let cold = self.cold[i].take().expect(RESIDENT);
-        self.resident -= 1;
-        self.assemble(i, *cold)
-    }
-
-    /// [`Pkts::take`] that returns `None` instead of panicking on an
-    /// empty slot (split/gather sweeps over the whole table).
-    fn take_if_resident(&mut self, i: usize) -> Option<InFlight> {
-        let cold = self.cold.get_mut(i)?.take()?;
-        self.resident -= 1;
-        Some(self.assemble(i, *cold))
-    }
-
-    /// Installs a handed-off packet.
-    fn put(&mut self, i: usize, flight: InFlight) {
-        self.ensure_len(i + 1);
-        self.disassemble(i, flight, false);
-    }
-
     /// Declares the packet dead: reclaims its cold record and
     /// invalidates the slot for good.
     fn free(&mut self, i: usize) -> InFlight {
@@ -412,169 +384,6 @@ impl Pkts {
             self.flags[i] &= !bit;
         }
     }
-}
-
-/// Canonical merge key of one captured artefact in shard mode:
-/// `(cycle, rank, packet-key, emission-seq)` — sorting per-shard capture
-/// streams by this key reproduces the exact order the serial engine
-/// emits artefacts in (see [`Event::canonical_key`]).
-#[doc(hidden)]
-pub type EventKey = (u64, u8, u64, u32);
-
-/// A packet crossing a shard boundary: the full in-flight record plus
-/// the `Arrive` event it travels as. Opaque outside this crate.
-#[doc(hidden)]
-pub struct Handoff {
-    time: u64,
-    pkt: usize,
-    node: u32,
-    from: u32,
-    flight: InFlight,
-}
-
-/// Per-shard mailboxes for cross-shard handoffs, indexed by destination
-/// shard. Senders push during a window; owners drain at the barrier.
-#[doc(hidden)]
-pub type Inboxes = Arc<Vec<Mutex<Vec<Handoff>>>>;
-
-/// Builds the empty mailbox array for `shards` shards.
-#[doc(hidden)]
-#[must_use]
-pub fn new_inboxes(shards: usize) -> Inboxes {
-    Arc::new((0..shards).map(|_| Mutex::new(Vec::new())).collect())
-}
-
-/// Everything a shard hands the coordinator at a barrier: captured
-/// artefacts (already in canonical order), progress markers and the
-/// conservation totals.
-#[doc(hidden)]
-pub struct WindowReport {
-    /// Fire time of the shard's earliest pending event, post-install.
-    pub next_time: Option<u64>,
-    /// Earliest injection processed since the last report (arms the
-    /// watchdog exactly as the serial engine's first-inject rule).
-    pub min_inject: Option<u64>,
-    /// Cycle of the shard's latest delivery or forward (cumulative).
-    pub last_progress: u64,
-    /// Packets launched and still resident in this shard.
-    pub live: u64,
-    /// Cumulative injected count (conservation term).
-    pub injected: u64,
-    /// Cumulative delivered count (conservation term).
-    pub delivered_total: u64,
-    /// Cumulative dropped count (conservation term).
-    pub dropped_total: u64,
-    /// Latest cycle this shard processed an event at (cumulative).
-    pub max_processed: Option<u64>,
-    /// Lifecycle events captured since the last report.
-    pub events: Vec<(EventKey, PacketEvent)>,
-    /// Deliveries captured since the last report.
-    pub delivered: Vec<(EventKey, Delivered)>,
-    /// Typed drops captured since the last report.
-    pub drops: Vec<(EventKey, (PacketId, DropReason))>,
-    /// Invariant violations captured since the last report.
-    pub violations: Vec<(EventKey, Violation)>,
-    /// First self-test candidate `(key, pkt id, node)` seen by this
-    /// shard, if any — the coordinator elects the global minimum.
-    pub selftest: Option<(EventKey, u64, u32)>,
-}
-
-/// A packet claimed by a fault the coordinator ordered: where and when
-/// the serial engine would have dropped it.
-#[doc(hidden)]
-pub struct FaultVictim {
-    /// Fire time of the claimed event (serial drop order, major).
-    pub time: u64,
-    /// In-flight handle (serial drop order, minor).
-    pub handle: usize,
-    /// Packet id, for the master drop log.
-    pub pkt_id: u64,
-    /// Node the claimed event addressed — where the drop is attributed.
-    pub node: u32,
-}
-
-/// Residual coordinator state handed back when a sharded segment ends —
-/// either at quiescence (everything empty/closed) or at a checkpoint
-/// limit (remaining fault schedule, armed watchdog, open degraded
-/// window). [`Simulation::engine_gather`] folds it into the master.
-#[doc(hidden)]
-pub struct EngineResidual {
-    /// Fault events not yet applied, in schedule order.
-    pub faults: Vec<(u64, FaultEvent)>,
-    /// Pending watchdog sweep time, if armed.
-    pub wd_due: Option<u64>,
-    /// Cycle the open degraded window started at, if faults are active.
-    pub degraded_since: Option<u64>,
-    /// Repair cycle awaiting its next-delivery recovery sample.
-    pub pending_recovery: Option<u64>,
-    /// Final live fault state (identical in every shard).
-    pub live_faults: FaultSet,
-    /// Fault statistics accumulated by the coordinator this segment.
-    pub fstats: FaultStats,
-    /// Watchdog statistics accumulated by the coordinator this segment.
-    pub wstats: WatchdogStats,
-    /// Latest cycle any shard or coordinator round processed.
-    pub end_time: u64,
-}
-
-/// One live packet's watchdog-relevant state, gathered at a sweep.
-#[doc(hidden)]
-pub struct WdPacket {
-    /// In-flight handle (sweep order).
-    pub handle: usize,
-    /// Packet id.
-    pub pkt_id: u64,
-    /// Injection cycle.
-    pub injected_at: u64,
-    /// Cycle of the most recent hop.
-    pub last_hop_at: u64,
-    /// True once escalated onto the escape router.
-    pub escaped: bool,
-    /// Cycle of the escape.
-    pub escaped_at: u64,
-    /// Last switch that handled the packet.
-    pub last_node: u32,
-}
-
-/// What a watchdog sweep decided for one packet.
-#[doc(hidden)]
-#[derive(Clone, Copy)]
-pub enum WdActionKind {
-    /// Reroute onto the escape router with a fresh retry allowance.
-    Escape,
-    /// Claim with a typed drop.
-    Drop(DropReason),
-}
-
-/// A coordinator-ordered watchdog action against one packet.
-#[doc(hidden)]
-#[derive(Clone, Copy)]
-pub struct WdAction {
-    /// In-flight handle.
-    pub handle: usize,
-    /// What to do.
-    pub kind: WdActionKind,
-}
-
-/// Shard-mode state carried by a [`Simulation`] that acts as one shard
-/// of the parallel engine.
-struct ShardCtx {
-    shard: usize,
-    part: Arc<Partition>,
-    inboxes: Inboxes,
-    /// Mirror of the master's observer flag: capture lifecycle events
-    /// for the merge (the master replays them into telemetry and the
-    /// checker's trace tail).
-    capture: bool,
-    selftest_at: Option<u64>,
-    selftest_done: bool,
-    events: Vec<(EventKey, PacketEvent)>,
-    delivered: Vec<(EventKey, Delivered)>,
-    drops: Vec<(EventKey, (PacketId, DropReason))>,
-    violations: Vec<(EventKey, Violation)>,
-    selftest_candidate: Option<(EventKey, u64, u32)>,
-    min_inject: Option<u64>,
-    max_processed: Option<u64>,
 }
 
 /// A discrete-event simulation run over one network.
@@ -650,9 +459,9 @@ pub struct Simulation<'a> {
     delivered_total: u64,
     dropped_total: u64,
     /// `(packet id, last node)` of the most recent packet to leave this
-    /// simulation's storage — freed on delivery/drop, or handed off to
-    /// another shard. The post-event hooks attribute their checks with
-    /// this when the event's own packet is already gone.
+    /// simulation's storage (freed on delivery or drop). The post-event
+    /// hooks attribute their checks with this when the event's own
+    /// packet is already gone.
     gone_info: (u64, u32),
     /// Cycle of the last delivery or forward: the network-level
     /// progress signal the watchdog's deadlock detector watches.
@@ -666,9 +475,9 @@ pub struct Simulation<'a> {
     finalized: bool,
     /// Runtime invariant checker (violation log + trace tail).
     checker: InvariantChecker,
-    /// Cached "is anyone observing lifecycle events" flag — telemetry,
-    /// the checker's trace tail, or (in shard mode) the capture buffers.
-    /// Hoisted out of the hot loop: both inputs are fixed for a run.
+    /// Cached "is anyone observing lifecycle events" flag — telemetry or
+    /// the checker's trace tail. Hoisted out of the hot loop: both
+    /// inputs are fixed for a run.
     obs: bool,
     /// Dense per-node "marking plane compromised" flags from
     /// [`SimConfig::adversary`] (empty when every switch is honest).
@@ -679,14 +488,6 @@ pub struct Simulation<'a> {
     adv_behavior: &'static str,
     /// Cached [`InvariantChecker::enabled`], likewise fixed for a run.
     checking: bool,
-    /// Present when this simulation is one shard of the parallel engine.
-    shard: Option<Box<ShardCtx>>,
-    /// Canonical key of the event being processed (shard mode only):
-    /// cycle, rank, packet key, next emission sequence.
-    cur_cycle: u64,
-    cur_rank: u8,
-    cur_pkey: u64,
-    emit_seq: u32,
 }
 
 static NO_FILTER: NoFilter = NoFilter;
@@ -793,11 +594,6 @@ impl<'a> Simulation<'a> {
             compromised,
             adv_behavior,
             checking,
-            shard: None,
-            cur_cycle: 0,
-            cur_rank: 0,
-            cur_pkey: 0,
-            emit_seq: 0,
         }
     }
 
@@ -861,7 +657,7 @@ impl<'a> Simulation<'a> {
     /// per-packet RNG streams) are assigned in materialisation order
     /// rather than scheduling order, so conformance digests differ
     /// between the two modes while each mode stays bit-reproducible
-    /// across engines and checkpoints.
+    /// across checkpoints.
     ///
     /// # Panics
     /// Panics if `time` precedes the previously staged injection —
@@ -889,11 +685,10 @@ impl<'a> Simulation<'a> {
     /// event (all of them when the queue is idle, bounded by `limit`
     /// when segmenting). A staged packet appended at cycle `t` receives
     /// the highest handle so far *and* the highest queue sequence, so
-    /// it sorts last among cycle-`t` packet events under both the
-    /// serial (insertion-order) and canonical (pkey-order) tie-breaks —
-    /// lazy materialisation is order-equivalent to materialising the
-    /// whole backlog up front, which is exactly what the sharded
-    /// engine's split does.
+    /// it sorts last among cycle-`t` packet events under the canonical
+    /// `(cycle, rank, pkey, seq)` tie-break — lazy materialisation is
+    /// order-equivalent to materialising the whole backlog up front, so
+    /// where a segment boundary falls never changes the run.
     fn pump_staged(&mut self, limit: Option<u64>) {
         while let Some(&(t, _)) = self.pending.front() {
             if limit.is_some_and(|l| t >= l) {
@@ -1103,7 +898,6 @@ impl<'a> Simulation<'a> {
     /// the scenario description.
     #[must_use]
     pub fn snapshot(&self) -> SimSnapshot {
-        debug_assert!(self.shard.is_none(), "snapshot the master, not a shard");
         let (events, queue_seq) = self.queue.snapshot_events();
         let slots = (0..self.pkts.len())
             .map(|i| SlotSnap {
@@ -1165,7 +959,7 @@ impl<'a> Simulation<'a> {
     /// pending event, including queued `Inject`s and the remaining
     /// fault schedule. Continuing with [`Simulation::run`] or
     /// [`Simulation::run_until`] is then bit-identical to the
-    /// uninterrupted run, under either engine.
+    /// uninterrupted run.
     ///
     /// # Panics
     /// If this simulation already scheduled packets or processed
@@ -1185,7 +979,7 @@ impl<'a> Simulation<'a> {
         self.pkts.ensure_len(snap.slots.len());
         for (i, slot) in snap.slots.into_iter().enumerate() {
             if let Some(f) = slot.flight {
-                self.pkts.put(
+                self.pkts.disassemble(
                     i,
                     InFlight {
                         packet: f.packet,
@@ -1203,6 +997,7 @@ impl<'a> Simulation<'a> {
                         last_node: f.last_node,
                         wire_mf: f.wire_mf,
                     },
+                    false,
                 );
             }
             self.pkts.gens[i] = slot.generation;
@@ -1244,19 +1039,9 @@ impl<'a> Simulation<'a> {
         node as usize * self.port_stride + d
     }
 
-    /// The next emission key for the event being processed (shard mode).
-    #[inline]
-    fn bump_key(&mut self) -> EventKey {
-        let k = (self.cur_cycle, self.cur_rank, self.cur_pkey, self.emit_seq);
-        self.emit_seq += 1;
-        k
-    }
-
     /// Records one lifecycle event for in-flight packet `pkt` at switch
-    /// `node`. Serially this feeds telemetry (when events are on) and
-    /// the checker's trace tail; in shard mode it is captured with its
-    /// canonical key for the coordinator's merge. Only call behind
-    /// `self.obs`.
+    /// `node`: it feeds telemetry (when events are on) and the checker's
+    /// trace tail. Only call behind `self.obs`.
     fn emit(&mut self, pkt: usize, node: u32, kind: TelEvent) {
         let id = self.pkts.packet(pkt).id.0;
         self.emit_id(id, node, kind);
@@ -1275,15 +1060,6 @@ impl<'a> Simulation<'a> {
     }
 
     fn sink_event(&mut self, ev: PacketEvent) {
-        if self.shard.is_some() {
-            let key = self.bump_key();
-            self.shard
-                .as_mut()
-                .expect("just checked")
-                .events
-                .push((key, ev));
-            return;
-        }
         if let Some(t) = self.tele.as_mut() {
             if t.events_on() {
                 t.record(ev);
@@ -1293,9 +1069,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Records an invariant violation: telemetry event, trace tail,
-    /// violation log — then panics if the config says so. A shard
-    /// captures the violation (and its event, when observing) keyed for
-    /// the merge instead, preserving the panic behaviour.
+    /// violation log — then panics if the config says so.
     fn report_violation(&mut self, pkt: u64, node: u32, invariant: &'static str, detail: String) {
         let cycle = self.now.cycles();
         let ev = PacketEvent {
@@ -1304,30 +1078,6 @@ impl<'a> Simulation<'a> {
             node,
             kind: TelEvent::Violation { invariant },
         };
-        if self.shard.is_some() {
-            let key = self.bump_key();
-            let panic_now = self.checker.config().panic_on_violation;
-            let ctx = self.shard.as_mut().expect("just checked");
-            if ctx.capture {
-                ctx.events.push((key, ev));
-            }
-            ctx.violations.push((
-                key,
-                Violation {
-                    cycle,
-                    pkt,
-                    node,
-                    invariant,
-                    detail: detail.clone(),
-                },
-            ));
-            if panic_now {
-                panic!(
-                    "invariant violation `{invariant}` at cycle {cycle}, pkt {pkt}, node {node}: {detail}"
-                );
-            }
-            return;
-        }
         if let Some(t) = self.tele.as_mut() {
             if t.events_on() {
                 t.record(ev);
@@ -1398,12 +1148,9 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// The state-and-stats half of a drop: kills the packet and bumps
-    /// the typed per-class counter, with no log entry and no event.
-    /// Shards use it alone for coordinator-ordered drops (fault claims,
-    /// watchdog escalations) — the coordinator writes the log entry and
-    /// the event into the master in serial order.
-    fn account_drop(&mut self, pkt: usize, reason: DropReason) {
+    /// Kills the packet, bumps the typed per-class counter, logs the
+    /// drop and (when observing) emits its lifecycle event.
+    fn drop_packet(&mut self, pkt: usize, node: u32, reason: DropReason) {
         // Frees the arena slot (reclaiming the path buffer and RNG) and
         // bumps its generation — a stale event for this handle can never
         // act on a resurrected packet.
@@ -1428,17 +1175,8 @@ impl<'a> Simulation<'a> {
             DropReason::LivelockEscaped => c.dropped_livelock += 1,
             DropReason::DeadlockVictim => c.dropped_deadlock += 1,
         }
-    }
-
-    fn drop_packet(&mut self, pkt: usize, node: u32, reason: DropReason) {
-        let id = self.pkts.packet(pkt).id;
-        self.account_drop(pkt, reason);
-        let key = (self.cur_cycle, self.cur_rank, self.cur_pkey, 0);
-        if let Some(ctx) = self.shard.as_mut() {
-            ctx.drops.push((key, (id, reason)));
-        } else {
-            self.drops.push((id, reason));
-        }
+        let id = flight.packet.id;
+        self.drops.push((id, reason));
         if self.obs {
             self.emit_id(
                 id.0,
@@ -1546,15 +1284,10 @@ impl<'a> Simulation<'a> {
         }
         // Lazy watchdog arming: the first injection of a quiet period
         // schedules the sweep cadence; `last_progress` starts *now* so a
-        // late first injection is not misread as a historic stall. A
-        // shard only notes the injection time — arming is coordinator
-        // business (it takes the minimum across shards, which is exactly
-        // the first injection the serial engine would have seen).
+        // late first injection is not misread as a historic stall.
         if let Some(wd) = self.cfg.watchdog {
-            let t = self.now.cycles();
-            if let Some(ctx) = self.shard.as_mut() {
-                ctx.min_inject = Some(ctx.min_inject.map_or(t, |m| m.min(t)));
-            } else if !self.watchdog_armed {
+            if !self.watchdog_armed {
+                let t = self.now.cycles();
                 self.watchdog_armed = true;
                 self.last_progress = t;
                 self.queue
@@ -1716,12 +1449,7 @@ impl<'a> Simulation<'a> {
                 hops,
                 path: self.cfg.record_paths.then_some(flight.path),
             };
-            let key = (self.cur_cycle, self.cur_rank, self.cur_pkey, 0);
-            if let Some(ctx) = self.shard.as_mut() {
-                ctx.delivered.push((key, d));
-            } else {
-                self.delivered.push(d);
-            }
+            self.delivered.push(d);
             if self.obs {
                 self.emit_id(
                     pkt_id,
@@ -1864,29 +1592,6 @@ impl<'a> Simulation<'a> {
                 self.emit(pkt, node, TelEvent::MarkTamper { mf: mf_after, behavior });
             }
             self.emit(pkt, node, TelEvent::Forward { next: next_id });
-        }
-        // Cross-shard handoff: when the next switch belongs to another
-        // shard, the packet travels through that shard's mailbox and the
-        // Arrive fires there. Windows are bounded by one hop's latency
-        // (`service_cycles + link_latency`), so the arrival can never
-        // land inside the window being executed.
-        let handoff_dest = self.shard.as_deref().and_then(|ctx| {
-            let dest = ctx.part.owner(NodeId(next_id));
-            (dest != ctx.shard).then_some(dest)
-        });
-        if let Some(dest) = handoff_dest {
-            let flight = self.pkts.take(pkt);
-            self.live_count -= 1;
-            self.gone_info = (flight.packet.id.0, flight.last_node);
-            let ctx = self.shard.as_deref_mut().expect("shard mode");
-            ctx.inboxes[dest].lock().expect("inbox poisoned").push(Handoff {
-                time: arrive,
-                pkt,
-                node: next_id,
-                from: node,
-                flight,
-            });
-            return;
         }
         self.queue.push(
             SimTime(arrive),
@@ -2063,574 +1768,24 @@ impl<'a> Simulation<'a> {
         &self.cfg
     }
 
-    /// The topology this simulation runs over (engine partitioning).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn topology(&self) -> &'a Topology {
-        self.topo
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded-engine support (`ddpm-engine`). Everything below is
-    // `#[doc(hidden)]` plumbing: a master simulation is split into
-    // per-shard simulations that execute bounded cycle windows, and the
-    // coordinator merges their captured artefacts back into the master
-    // in canonical order — bit-identical to a serial run.
-    // ------------------------------------------------------------------
-
-    /// Splits this simulation into one simulation per shard of `part`,
-    /// moving every in-flight packet and its pending event to the shard
-    /// that will process the event: `Inject`s go to the owner of the
-    /// packet's source switch, `Arrive`/`Reroute`s (present when the
-    /// master was restored from a mid-run checkpoint) to the owner of
-    /// the event's switch. Returns the shard simulations, the drained
-    /// fault schedule (coordinator-owned, in schedule order), and the
-    /// pending watchdog sweep time, if one was armed.
-    #[doc(hidden)]
-    pub fn engine_split(
-        &mut self,
-        part: &Arc<Partition>,
-        inboxes: &Inboxes,
-    ) -> (Vec<Simulation<'a>>, Vec<(u64, FaultEvent)>, Option<u64>) {
-        let capture = self.obs;
-        // Staged (bounded-memory) injections materialise here, in FIFO
-        // order — identical handle/seed assignment to the serial pump,
-        // so staged runs stay bit-reproducible across engines.
-        while let Some((t, p)) = self.pending.pop_front() {
-            self.schedule(SimTime(t), p);
-        }
-        let selftest_at = if self.checking {
-            self.checker.selftest_pending()
-        } else {
-            None
-        };
-        let mut shard_cfg = self.cfg.clone();
-        // Shards never own sinks or profilers; the master replays the
-        // merged event stream into its own telemetry.
-        shard_cfg.telemetry = TelemetryConfig::default();
-        let mut sims: Vec<Simulation<'a>> = (0..part.shards())
-            .map(|s| {
-                let mut sim = Simulation::with_filter(
-                    self.topo,
-                    &self.live,
-                    self.router,
-                    self.policy,
-                    self.marker,
-                    self.filter,
-                    shard_cfg.clone(),
-                );
-                sim.obs = capture;
-                // Degraded-window accounting is coordinator-owned.
-                sim.degraded_since = None;
-                // Port busy times carry over on a restored master (all
-                // zero on a fresh split); a shard only ever touches the
-                // ports of switches it owns.
-                sim.ports.copy_from_slice(&self.ports);
-                sim.gone_info = self.gone_info;
-                sim.shard = Some(Box::new(ShardCtx {
-                    shard: s,
-                    part: Arc::clone(part),
-                    inboxes: Arc::clone(inboxes),
-                    capture,
-                    selftest_at,
-                    selftest_done: false,
-                    events: Vec::new(),
-                    delivered: Vec::new(),
-                    drops: Vec::new(),
-                    violations: Vec::new(),
-                    selftest_candidate: None,
-                    min_inject: None,
-                    max_processed: None,
-                }));
-                sim.pkts.ensure_len(self.pkts.len());
-                sim
-            })
-            .collect();
-        let mut faults: Vec<(u64, FaultEvent)> = Vec::new();
-        let mut wd_due: Option<u64> = None;
-        // Which shard will fire each packet's (single) pending event —
-        // the shard that must also hold the packet's storage.
-        let mut owner_of: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        while let Some(ev) = self.queue.pop() {
-            match ev.kind {
-                EventKind::Inject { pkt } => {
-                    let owner = part.owner(self.pkts.packet(pkt).true_source);
-                    owner_of.insert(pkt, owner);
-                    sims[owner].queue.push(ev.time, EventKind::Inject { pkt });
-                }
-                EventKind::Arrive { pkt, node, from } => {
-                    let owner = part.owner(NodeId(node));
-                    owner_of.insert(pkt, owner);
-                    sims[owner]
-                        .queue
-                        .push(ev.time, EventKind::Arrive { pkt, node, from });
-                }
-                EventKind::Reroute { pkt, node } => {
-                    let owner = part.owner(NodeId(node));
-                    owner_of.insert(pkt, owner);
-                    sims[owner].queue.push(ev.time, EventKind::Reroute { pkt, node });
-                }
-                EventKind::Fault { event } => faults.push((ev.time.0, event)),
-                EventKind::Watchdog => wd_due = Some(ev.time.0),
-            }
-        }
-        for idx in 0..self.pkts.len() {
-            if let Some(flight) = self.pkts.take_if_resident(idx) {
-                let owner = owner_of
-                    .get(&idx)
-                    .copied()
-                    .unwrap_or_else(|| part.owner(flight.packet.true_source));
-                // Already-launched packets (restored mid-flight) count
-                // toward the owning shard's live total from the start;
-                // fresh packets are counted at their injection event.
-                if flight.launched {
-                    sims[owner].live_count += 1;
-                }
-                sims[owner].pkts.put(idx, flight);
-            }
-        }
-        (sims, faults, wd_due)
-    }
-
-    /// Runs every pending event with fire time strictly below `end` —
-    /// one conservative window. Shard mode only.
-    #[doc(hidden)]
-    pub fn run_window(&mut self, end: u64) {
-        debug_assert!(self.shard.is_some(), "run_window outside shard mode");
-        while let Some(ev) = self.queue.pop_before(end) {
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            let (cycle, rank, pkey, _) = ev.canonical_key();
-            self.cur_cycle = cycle;
-            self.cur_rank = rank;
-            self.cur_pkey = pkey;
-            self.emit_seq = 0;
-            if let Some(ctx) = self.shard.as_deref_mut() {
-                ctx.max_processed = Some(cycle);
-            }
-            match ev.kind {
-                EventKind::Inject { pkt } => self.handle_inject(pkt),
-                EventKind::Arrive { pkt, node, .. } => self.handle_arrive(pkt, node),
-                EventKind::Reroute { pkt, node } => self.handle_reroute(pkt, node),
-                EventKind::Fault { .. } | EventKind::Watchdog => {
-                    unreachable!("global events are coordinator-owned in shard mode")
-                }
-            }
-            self.window_post_event(&ev);
-        }
-    }
-
-    /// Shard-mode post-event hook: captures the first self-test
-    /// candidate. (The per-event conservation check moves to the
-    /// engine's barrier, where the terms of the global sum exist.)
-    fn window_post_event(&mut self, ev: &Event) {
-        let Some(ctx) = self.shard.as_deref() else {
-            return;
-        };
-        let Some(at) = ctx.selftest_at else { return };
-        if ctx.selftest_done || self.now.cycles() < at {
-            return;
-        }
-        let (pkt_id, node) = match ev.kind {
-            EventKind::Inject { pkt }
-            | EventKind::Arrive { pkt, .. }
-            | EventKind::Reroute { pkt, .. } => {
-                if self.pkts.is_resident(pkt) {
-                    (self.pkts.packet(pkt).id.0, self.pkts.last_node[pkt])
-                } else {
-                    // The event's packet just left this shard mid-event —
-                    // freed on delivery/drop, or handed off.
-                    self.gone_info
-                }
-            }
-            EventKind::Fault { .. } | EventKind::Watchdog => (0, u32::MAX),
-        };
-        // `u32::MAX` sorts the candidate after every emission of its
-        // event — where the serial post-event check fires.
-        let key = (self.cur_cycle, self.cur_rank, self.cur_pkey, u32::MAX);
-        let ctx = self.shard.as_deref_mut().expect("shard mode");
-        ctx.selftest_done = true;
-        ctx.selftest_candidate = Some((key, pkt_id, node));
-    }
-
-    /// Drains this shard's mailbox: installs handed-off packets and
-    /// queues their arrivals. Call after the handoff barrier (every
-    /// sender finished writing) and before reporting.
-    #[doc(hidden)]
-    pub fn install_inbox(&mut self) {
-        let Some(ctx) = self.shard.as_deref() else {
-            return;
-        };
-        let items: Vec<Handoff> =
-            std::mem::take(&mut *ctx.inboxes[ctx.shard].lock().expect("inbox poisoned"));
-        for h in items {
-            self.pkts.put(h.pkt, h.flight);
-            self.live_count += 1;
-            self.queue.push(
-                SimTime(h.time),
-                EventKind::Arrive {
-                    pkt: h.pkt,
-                    node: h.node,
-                    from: h.from,
-                },
-            );
-        }
-    }
-
-    /// Drains the capture buffers and snapshots progress state for the
-    /// coordinator. Shard mode only.
-    #[doc(hidden)]
-    pub fn take_window_report(&mut self) -> WindowReport {
-        let next_time = self.queue.next_time();
-        let live = self.live_count;
-        let last_progress = self.last_progress;
-        let (injected, delivered_total, dropped_total) =
-            (self.injected_total, self.delivered_total, self.dropped_total);
-        let ctx = self.shard.as_deref_mut().expect("shard mode");
-        WindowReport {
-            next_time,
-            min_inject: ctx.min_inject.take(),
-            last_progress,
-            live,
-            injected,
-            delivered_total,
-            dropped_total,
-            max_processed: ctx.max_processed,
-            events: std::mem::take(&mut ctx.events),
-            delivered: std::mem::take(&mut ctx.delivered),
-            drops: std::mem::take(&mut ctx.drops),
-            violations: std::mem::take(&mut ctx.violations),
-            selftest: ctx.selftest_candidate.take(),
-        }
-    }
-
-    /// Fire time of the earliest pending event (engine scheduling).
-    #[doc(hidden)]
+    /// Fire time of the earliest pending event, if any. A stride-stepping
+    /// caller clamps its next [`Simulation::run_until`] limit to this so
+    /// an idle stretch is skipped in one call.
     #[must_use]
     pub fn next_event_time(&self) -> Option<u64> {
         self.queue.next_time()
     }
 
-    /// Applies one coordinator-ordered fault to this shard: updates the
-    /// live fault state and claims doomed events from the local queue,
-    /// killing their packets silently (stats only). Returns the victims
-    /// so the coordinator can write the drop log and events in serial
-    /// order.
-    #[doc(hidden)]
-    pub fn shard_apply_fault(&mut self, ev: FaultEvent) -> Vec<FaultVictim> {
-        self.live.apply(self.topo, ev);
-        let (lost, reason) = match ev {
-            FaultEvent::LinkDown { a, b } => (
-                self.queue.extract(|k| {
-                    matches!(k, EventKind::Arrive { node, from, .. }
-                        if (NodeId(*node), NodeId(*from)) == (a, b)
-                            || (NodeId(*node), NodeId(*from)) == (b, a))
-                }),
-                DropReason::LinkDown,
-            ),
-            FaultEvent::SwitchDown { node } => (
-                self.queue.extract(|k| match k {
-                    EventKind::Arrive { node: n, from, .. } => *n == node.0 || *from == node.0,
-                    EventKind::Reroute { node: n, .. } => *n == node.0,
-                    EventKind::Inject { .. } | EventKind::Fault { .. } | EventKind::Watchdog => {
-                        false
-                    }
-                }),
-                DropReason::SwitchDown,
-            ),
-            FaultEvent::LinkUp { .. } | FaultEvent::SwitchUp { .. } => return Vec::new(),
-        };
-        lost.into_iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Arrive { pkt, node, .. } | EventKind::Reroute { pkt, node } => {
-                    let pkt_id = self.pkts.packet(pkt).id.0;
-                    self.account_drop(pkt, reason);
-                    Some(FaultVictim {
-                        time: e.time.0,
-                        handle: pkt,
-                        pkt_id,
-                        node,
-                    })
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Gathers watchdog-relevant state for every live launched packet in
-    /// this shard, in handle order.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn watchdog_report(&self) -> Vec<WdPacket> {
-        (0..self.pkts.len())
-            .filter(|&i| self.pkts.is_resident(i) && self.pkts.flag(i, F_LAUNCHED))
-            .map(|handle| WdPacket {
-                handle,
-                pkt_id: self.pkts.packet(handle).id.0,
-                injected_at: self.pkts.injected_at[handle].cycles(),
-                last_hop_at: self.pkts.last_hop_at[handle],
-                escaped: self.pkts.flag(handle, F_ESCAPED),
-                escaped_at: self.pkts.escaped_at[handle],
-                last_node: self.pkts.last_node[handle],
-            })
-            .collect()
-    }
-
-    /// Executes coordinator-ordered watchdog actions against resident
-    /// packets (non-resident handles are another shard's business).
-    /// Drops are silent here — the coordinator writes the log.
-    #[doc(hidden)]
-    pub fn exec_wd_actions(&mut self, actions: &[WdAction], now: u64) {
-        for a in actions {
-            let pkt = a.handle;
-            if !self.pkts.is_resident(pkt) {
-                continue;
-            }
-            match a.kind {
-                WdActionKind::Escape => {
-                    // Wake a parked retry so the escape takes effect
-                    // promptly, exactly like the serial sweep.
-                    let parked = self
-                        .queue
-                        .extract(|k| matches!(k, EventKind::Reroute { pkt: p, .. } if *p == pkt));
-                    for e in parked {
-                        if let EventKind::Reroute { pkt, node } = e.kind {
-                            self.queue
-                                .push(SimTime(now + 1), EventKind::Reroute { pkt, node });
-                        }
-                    }
-                    self.pkts.set_flag(pkt, F_ESCAPED, true);
-                    self.pkts.escaped_at[pkt] = now;
-                    self.pkts.reroutes[pkt] = 0;
-                }
-                WdActionKind::Drop(reason) => {
-                    self.queue.extract(|k| match k {
-                        EventKind::Inject { pkt: p }
-                        | EventKind::Arrive { pkt: p, .. }
-                        | EventKind::Reroute { pkt: p, .. } => *p == pkt,
-                        EventKind::Fault { .. } | EventKind::Watchdog => false,
-                    });
-                    self.account_drop(pkt, reason);
-                }
-            }
-        }
-    }
-
-    // --- master-side merge sinks -------------------------------------
-
-    /// Is the master observing lifecycle events? Mirrors what the
-    /// shards captured.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn observing(&self) -> bool {
-        self.obs
-    }
-
-    /// Replays one merged lifecycle event into the master's telemetry
-    /// and trace tail.
-    #[doc(hidden)]
-    pub fn merged_event(&mut self, ev: PacketEvent) {
-        if let Some(t) = self.tele.as_mut() {
-            if t.events_on() {
-                t.record(ev);
-            }
-        }
-        self.checker.record_tail(ev);
-    }
-
-    /// Appends one merged delivery to the master's delivered log.
-    #[doc(hidden)]
-    pub fn merged_delivered(&mut self, d: Delivered) {
-        self.delivered.push(d);
-    }
-
-    /// Appends one merged drop to the master's drop log (with its event,
-    /// when observing). Used for drops the coordinator ordered itself.
-    #[doc(hidden)]
-    pub fn merged_drop(&mut self, cycle: u64, id: PacketId, node: u32, reason: DropReason) {
-        self.drops.push((id, reason));
-        if self.obs {
-            self.merged_event(PacketEvent {
-                cycle,
-                pkt: id.0,
-                node,
-                kind: TelEvent::Drop {
-                    reason: reason.as_str(),
-                },
-            });
-        }
-    }
-
-    /// Appends one merged drop whose `Drop` event already travelled in
-    /// the merged event stream (shard-captured drops).
-    #[doc(hidden)]
-    pub fn merged_drop_entry(&mut self, id: PacketId, reason: DropReason) {
-        self.drops.push((id, reason));
-    }
-
-    /// Records a merged violation in the master's checker, preserving
-    /// the serial panic behaviour. The violation's telemetry event
-    /// travels separately in the merged event stream.
-    #[doc(hidden)]
-    pub fn merged_violation(&mut self, v: Violation) {
-        let (invariant, cycle, pkt, node) = (v.invariant, v.cycle, v.pkt, v.node);
-        let panic_now = self.checker.report(v);
-        if panic_now {
-            let v = self.checker.violations().last().expect("just pushed");
-            panic!(
-                "invariant violation `{invariant}` at cycle {cycle}, pkt {pkt}, node {node}: {}",
-                v.detail
-            );
-        }
-    }
-
-    /// The master's pending self-test cycle, if the checker is armed.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn selftest_pending(&self) -> Option<u64> {
-        if self.checking {
-            self.checker.selftest_pending()
-        } else {
-            None
-        }
-    }
-
-    /// Marks the master's self-test as fired (coordinator election).
-    #[doc(hidden)]
-    pub fn mark_selftest_fired(&mut self) {
-        self.checker.mark_selftest_fired();
-    }
-
-    /// The master's current simulated time, in cycles (coordinator
-    /// seeding and checkpoint-cycle reporting).
-    #[doc(hidden)]
+    /// The current simulated time, in cycles.
     #[must_use]
     pub fn now_cycles(&self) -> u64 {
         self.now.cycles()
     }
 
-    /// The master's `(degraded_since, pending_recovery)` cycles — the
-    /// coordinator seeds its own copies from these so a resumed run
-    /// continues the open degraded window exactly.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn degraded_state(&self) -> (Option<u64>, Option<u64>) {
-        (self.degraded_since, self.pending_recovery)
-    }
-
-    /// Cycle of the master's last recorded global progress (coordinator
-    /// arming floor on resume).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn progress_cycle(&self) -> u64 {
-        self.last_progress
-    }
-
-    /// Merges the shard simulations and the coordinator's residual
-    /// state back into this master, restoring the exact serial form of
-    /// the system state: a gathered master snapshots, finalizes and
-    /// resumes identically under either engine. Consumes the shards.
-    #[doc(hidden)]
-    pub fn engine_gather(&mut self, mut shards: Vec<Simulation<'a>>, r: EngineResidual) {
-        // Rebuild the master queue from scratch: the split drained the
-        // old one, advancing its floor past the fire times of events
-        // that are still pending in the shards. Insertion order —
-        // faults in schedule order, then the watchdog, then packet
-        // events — reproduces the serial queue's tie-breaks: `Fault`
-        // rank sorts first with sequence order among equals, the
-        // watchdog is unique, and a live packet has exactly one pending
-        // event so packet keys never tie.
-        let mut q = EventQueue::with_horizon(self.queue.horizon());
-        for &(t, ev) in &r.faults {
-            q.push(SimTime(t), EventKind::Fault { event: ev });
-        }
-        if let Some(t) = r.wd_due {
-            q.push(SimTime(t), EventKind::Watchdog);
-        }
-        let mut live = 0u64;
-        let mut last_progress = self.last_progress;
-        let mut latest: Option<(u64, (u64, u32))> = None;
-        for shard in &mut shards {
-            // Port busy-until times: a shard only ever touches the ports
-            // of switches it owns, so copying each shard's owned slices
-            // reassembles the exact serial port table (reservations can
-            // extend past the pause barrier into the next segment).
-            {
-                let ctx = shard.shard.as_ref().expect("gather expects shard sims");
-                for n in 0..self.topo.num_nodes() as usize {
-                    if ctx.part.owner(NodeId(n as u32)) == ctx.shard {
-                        let a = n * self.port_stride;
-                        let b = a + self.port_stride;
-                        self.ports[a..b].copy_from_slice(&shard.ports[a..b]);
-                    }
-                }
-            }
-            while let Some(ev) = shard.queue.pop() {
-                q.push(ev.time, ev.kind);
-            }
-            for idx in 0..shard.pkts.len() {
-                // Generations are per-slot free counts: the master's
-                // base plus the shard's delta equals the serial count.
-                let delta = shard.pkts.gens[idx];
-                if delta != 0 {
-                    let base = self.pkts.gens[idx];
-                    self.pkts.gens[idx] = base.wrapping_add(delta);
-                }
-                if let Some(flight) = shard.pkts.take_if_resident(idx) {
-                    self.pkts.put(idx, flight);
-                }
-            }
-            self.pkts.peak_bytes = self.pkts.peak_bytes.max(shard.pkts.peak_bytes);
-            live += shard.live_count;
-            last_progress = last_progress.max(shard.last_progress);
-            let t = shard.now.cycles();
-            if latest.is_none_or(|(prev, _)| t >= prev) {
-                latest = Some((t, shard.gone_info));
-            }
-            let s = &shard.stats;
-            self.stats.benign.absorb(&s.benign);
-            self.stats.attack.absorb(&s.attack);
-            self.stats.faults.window_injected += s.faults.window_injected;
-            self.stats.faults.window_delivered += s.faults.window_delivered;
-            self.injected_total += shard.injected_total;
-            self.delivered_total += shard.delivered_total;
-            self.dropped_total += shard.dropped_total;
-        }
-        self.queue = q;
-        self.live_count = live;
-        self.last_progress = last_progress;
-        if let Some((_, gone)) = latest {
-            self.gone_info = gone;
-        }
-        self.now = SimTime(self.now.cycles().max(r.end_time));
-        self.watchdog_armed = r.wd_due.is_some();
-        self.live = r.live_faults;
-        self.degraded_since = r.degraded_since;
-        self.pending_recovery = r.pending_recovery;
-        self.stats.faults.events_applied += r.fstats.events_applied;
-        self.stats.faults.degraded_cycles += r.fstats.degraded_cycles;
-        self.stats.faults.recovery.merge(&r.fstats.recovery);
-        self.stats.watchdog.checks += r.wstats.checks;
-        self.stats.watchdog.livelocks += r.wstats.livelocks;
-        self.stats.watchdog.starvations += r.wstats.starvations;
-        self.stats.watchdog.deadlocks += r.wstats.deadlocks;
-        self.stats.watchdog.escapes += r.wstats.escapes;
-        self.stats.watchdog.max_age_seen =
-            self.stats.watchdog.max_age_seen.max(r.wstats.max_age_seen);
-    }
-
-    /// Mutable telemetry access for the engine profile attachment.
-    #[doc(hidden)]
+    /// Mutable telemetry access, when enabled (lets a caller attach or
+    /// reset state between segments).
     pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
         self.tele.as_deref_mut()
-    }
-
-    /// Is the invariant checker active? The coordinator mirrors the
-    /// serial engine's hoisted `checking` flag with this.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn checking(&self) -> bool {
-        self.checking
     }
 }
 

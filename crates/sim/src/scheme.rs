@@ -99,8 +99,7 @@ impl Attribution {
     }
 
     /// The identified source when [`Attribution::is_identified`], else
-    /// `None` — the adapter for call sites migrating off the deprecated
-    /// `Option<NodeId>`-shaped `identify()` signatures.
+    /// `None` — for callers that only act on a unique conviction.
     #[must_use]
     pub fn single(&self) -> Option<NodeId> {
         match self.candidates.as_slice() {
@@ -342,8 +341,8 @@ impl MarkingScheme for crate::mark::NoMarking {
 
 /// The data-only scheme selector: which traceback scheme a run uses.
 ///
-/// Mirrors [`crate::Engine`]'s parse/display discipline so scenario
-/// files and CLI flags share one spelling set. The concrete scheme
+/// `parse`/`as_str` round-trip one spelling set, so scenario files and
+/// CLI flags agree. The concrete scheme
 /// objects are built from this in `ddpm-core` (`scheme::build_scheme`),
 /// which owns the per-topology feasibility checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

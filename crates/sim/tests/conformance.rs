@@ -24,7 +24,7 @@
 use ddpm_bench::scenario_config::{
     run_scenario, AttackSpec, MarkingSpec, RouterSpec, ScenarioConfig, TopologySpec,
 };
-use ddpm_sim::{AdversaryBehavior, AdversarySpec, Engine, SchemeSpec, WatchdogConfig};
+use ddpm_sim::{AdversaryBehavior, AdversarySpec, SchemeSpec, WatchdogConfig};
 use ddpm_topology::{FaultEvent, NodeId};
 use serde_json::FromJson;
 use std::fmt::Write as _;
@@ -92,7 +92,6 @@ fn micro_config(topo: &TopologySpec, router: RouterSpec, churn: &str) -> Scenari
         fault_retries: 0,
         watchdog: None,
         invariants: false,
-        engine: Engine::Serial,
         checkpoint: None,
     };
     match churn {
@@ -153,7 +152,6 @@ fn scheme_config(topo: &TopologySpec, spec: SchemeSpec) -> ScenarioConfig {
         fault_retries: 0,
         watchdog: None,
         invariants: false,
-        engine: Engine::Serial,
         checkpoint: None,
     }
 }
@@ -284,7 +282,6 @@ fn scale_cells() -> Vec<(String, ScenarioConfig)> {
         fault_retries: 0,
         watchdog: None,
         invariants: false,
-        engine: Engine::Serial,
         checkpoint: None,
     };
     let mesh = TopologySpec::Mesh {
@@ -406,22 +403,4 @@ fn corpus_digests_match_golden_file() {
          If this change is intentional, re-bless with DDPM_BLESS=1 and review the diff.",
         diverged.join("\n")
     );
-}
-
-/// The corpus digests are also engine-independent: a spot check that the
-/// sharded engine reproduces the pinned serial digest on the most
-/// machinery-heavy grid cell (chaos churn exercises faults, watchdog,
-/// retries and the checker together). The full cross-engine sweep lives
-/// in `crates/engine/tests/equivalence.rs`.
-#[test]
-fn chaos_grid_cell_is_engine_independent() {
-    let mut cfg = micro_config(
-        &TopologySpec::Torus { dims: vec![6, 6] },
-        RouterSpec::FullyAdaptive,
-        "chaos",
-    );
-    let serial = run_scenario(&cfg).expect("serial run").digest;
-    cfg.engine = Engine::Sharded { shards: 2 };
-    let sharded = run_scenario(&cfg).expect("sharded run").digest;
-    assert_eq!(serial, sharded, "sharded(2) diverged from serial");
 }

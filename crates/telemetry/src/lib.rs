@@ -42,7 +42,7 @@ pub use config::TelemetryConfig;
 pub use counters::ClassCounters;
 pub use event::{EventKind, PacketEvent, RetryKind};
 pub use metrics::{Histogram, LatencyStats};
-pub use profile::{BarrierWait, EngineProfile, PhaseCost, PhaseProfiler};
+pub use profile::{PhaseCost, PhaseProfiler};
 pub use sink::{shared, BroadcastSink, EventSink, MemorySink, NdjsonSink, NullSink, SharedSink};
 
 use std::time::Duration;
@@ -58,7 +58,6 @@ pub struct Telemetry {
     counts: [u64; EventKind::COUNT],
     latency: Histogram,
     profiler: Option<PhaseProfiler>,
-    engine: Option<EngineProfile>,
     sinks: Vec<SharedSink>,
     /// Events staged since the last sink flush — see [`Telemetry::record`].
     staged: Vec<PacketEvent>,
@@ -100,7 +99,6 @@ impl Telemetry {
             counts: [0; EventKind::COUNT],
             latency: Histogram::default(),
             profiler: cfg.profile.then(PhaseProfiler::default),
-            engine: None,
             sinks,
             staged: Vec::new(),
         })
@@ -206,19 +204,6 @@ impl Telemetry {
         self.profiler.as_ref()
     }
 
-    /// Attaches the sharded engine's run profile (coordinator round
-    /// costs + per-worker barrier waits). The engine calls this once
-    /// before `finish()` when profiling is on.
-    pub fn set_engine_profile(&mut self, profile: EngineProfile) {
-        self.engine = Some(profile);
-    }
-
-    /// The sharded engine's run profile, when one was attached.
-    #[must_use]
-    pub fn engine_profile(&self) -> Option<&EngineProfile> {
-        self.engine.as_ref()
-    }
-
     /// The run summary as printable text.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -239,9 +224,6 @@ impl Telemetry {
         }
         if let Some(p) = &self.profiler {
             out.push_str(&p.render());
-        }
-        if let Some(e) = &self.engine {
-            out.push_str(&e.render());
         }
         out
     }
@@ -359,19 +341,5 @@ mod tests {
         assert_eq!(p.phases().len(), 1);
         assert_eq!(p.phases()[0].count, 2);
         assert!(t.summary().contains("arrive"));
-    }
-
-    #[test]
-    fn engine_profile_attaches_and_renders() {
-        let mut t = Telemetry::from_config(&TelemetryConfig::profiled()).expect("enabled");
-        assert!(t.engine_profile().is_none());
-        let mut e = EngineProfile::default();
-        e.rounds.add("window", Duration::from_micros(7));
-        e.barrier_waits.push(BarrierWait::default());
-        t.set_engine_profile(e);
-        assert!(t.engine_profile().is_some());
-        let s = t.summary();
-        assert!(s.contains("— engine —"), "{s}");
-        assert!(s.contains("window"), "{s}");
     }
 }

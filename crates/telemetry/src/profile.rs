@@ -85,77 +85,6 @@ impl PhaseProfiler {
     }
 }
 
-/// Time one worker of the sharded engine spent parked at the
-/// window-synchronisation barriers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BarrierWait {
-    /// Total wall-clock time spent inside `Barrier::wait`.
-    pub total: Duration,
-    /// Number of barrier crossings.
-    pub count: u64,
-}
-
-impl BarrierWait {
-    /// Adds one barrier crossing of `elapsed`.
-    pub fn add(&mut self, elapsed: Duration) {
-        self.total += elapsed;
-        self.count += 1;
-    }
-
-    /// Mean nanoseconds per crossing, or 0 with no crossings.
-    #[must_use]
-    pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            (self.total.as_nanos() / u128::from(self.count)) as u64
-        }
-    }
-}
-
-/// Profile of one sharded-engine run (`ddpm-engine`): a coordinator
-/// [`PhaseProfiler`] over its round kinds (`window` / `fault` /
-/// `watchdog`), plus per-worker [`BarrierWait`] counters showing how
-/// much of the wall clock went to synchronisation rather than event
-/// processing — the first number to look at when speedup is poor.
-#[derive(Clone, Debug, Default)]
-pub struct EngineProfile {
-    /// Coordinator-side cost per round kind.
-    pub rounds: PhaseProfiler,
-    /// Per-shard event-loop cost by round kind, indexed by shard id.
-    pub shards: Vec<PhaseProfiler>,
-    /// Per-worker barrier-wait totals, indexed by worker id.
-    pub barrier_waits: Vec<BarrierWait>,
-}
-
-impl EngineProfile {
-    /// A monospace breakdown of round costs, per-shard event-loop time
-    /// and per-worker barrier waits.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::from("— engine —\n");
-        out.push_str(&self.rounds.render());
-        for (s, p) in self.shards.iter().enumerate() {
-            let line = p
-                .phases()
-                .iter()
-                .map(|c| format!("{} {:.3} ms/{}", c.name, c.total.as_secs_f64() * 1e3, c.count))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!("shard {s}: {line}\n"));
-        }
-        for (w, b) in self.barrier_waits.iter().enumerate() {
-            out.push_str(&format!(
-                "worker {w}: barrier wait {:>9.3} ms over {} crossings ({} ns mean)\n",
-                b.total.as_secs_f64() * 1e3,
-                b.count,
-                b.mean_ns(),
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,21 +104,5 @@ mod tests {
         let text = p.render();
         assert!(text.contains("arrive"), "{text}");
         assert!(text.contains("80.0%"), "{text}");
-    }
-
-    #[test]
-    fn engine_profile_renders_rounds_and_waits() {
-        let mut e = EngineProfile::default();
-        e.rounds.add("window", Duration::from_micros(10));
-        e.rounds.add("watchdog", Duration::from_micros(5));
-        e.barrier_waits.resize(2, BarrierWait::default());
-        e.barrier_waits[0].add(Duration::from_micros(3));
-        e.barrier_waits[0].add(Duration::from_micros(1));
-        assert_eq!(e.barrier_waits[0].count, 2);
-        assert_eq!(e.barrier_waits[0].mean_ns(), 2000);
-        let text = e.render();
-        assert!(text.contains("window"), "{text}");
-        assert!(text.contains("worker 0"), "{text}");
-        assert!(text.contains("worker 1"), "{text}");
     }
 }
