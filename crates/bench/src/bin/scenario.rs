@@ -9,9 +9,9 @@
 //! ```
 //!
 //! Reads a JSON [`ddpm_bench::scenario_config::ScenarioConfig`], runs
-//! the simulation, prints the summary (and the DDPM attack-source
-//! census when DDPM marking is selected), optionally writing the
-//! machine-readable result.
+//! the simulation, prints the summary (and the victim-side attribution
+//! of the `"scheme"` collector when the scenario has an attack),
+//! optionally writing the machine-readable result.
 //!
 //! `--checkpoint-every`/`--checkpoint-dir` enable (or override the
 //! scenario file's `"checkpoint"` block's) crash-consistent

@@ -21,12 +21,13 @@
 //! `--quick` shrinks the fabrics to micro members of the same
 //! families (16×16 grids, 8×8×4 mesh, 2^10 hypercube) so the cell
 //! logic stays debug-testable; the full Table 3 maxima run under
-//! `report -- scale` in release. Rows land in
+//! `report -- scale` in release. Full-profile rows land in
 //! `BENCH_sim_throughput.json` tagged `"suite": "scale"` (merged — the
-//! criterion bench's rows survive, and vice versa), and the payload
+//! criterion bench's rows survive, and vice versa; `--quick` rows are
+//! never merged), and the payload
 //! goes to `results/scale.json` via `report -- --json results scale`.
 
-use crate::util::{fnum, merge_bench_rows, Report, RunCtx, TextTable};
+use crate::util::{fnum, merge_bench_rows, Report, RunCtx, TextTable, QUICK_ROWS_NOT_MERGED};
 use ddpm_attack::PacketFactory;
 use ddpm_core::{identify::attack_census, DdpmScheme};
 use ddpm_net::{AddrMap, L4};
@@ -237,14 +238,21 @@ pub fn run(ctx: &RunCtx) -> Report {
         },
     ));
 
+    // Quick runs measure micro fabrics; their rows must not replace the
+    // committed full-profile ones.
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let bench_path = manifest.join("../../BENCH_sim_throughput.json");
-    if let Err(e) = merge_bench_rows(
-        &bench_path,
-        "sim_throughput",
-        &|r| r["suite"].as_str() == Some("scale"),
-        bench_rows,
-    ) {
+    let merged = if ctx.quick {
+        Err(QUICK_ROWS_NOT_MERGED.to_owned())
+    } else {
+        merge_bench_rows(
+            &bench_path,
+            "sim_throughput",
+            &|r| r["suite"].as_str() == Some("scale"),
+            bench_rows,
+        )
+    };
+    if let Err(e) = merged {
         body.push_str(&format!("(bench rows not merged: {e})\n"));
     }
 

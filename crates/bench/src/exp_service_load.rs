@@ -21,12 +21,12 @@
 //! answers online — both rates stay positive and every query returns
 //! the scenario's true zombie set.
 //!
-//! Rows also land in `BENCH_sim_throughput.json` as `engine:
-//! "serve-<N>t"` entries (merged, so the criterion bench's rows
-//! survive), and the full payload goes to `results/service_load.json`
+//! Full-profile rows also land in `BENCH_sim_throughput.json` as
+//! `engine: "serve-<N>t"` entries (merged, so the criterion bench's
+//! rows survive; `--quick` rows are never merged), and the full payload goes to `results/service_load.json`
 //! via `report -- --json results service-load`.
 
-use crate::util::{fnum, merge_bench_rows, Report, RunCtx, TextTable};
+use crate::util::{fnum, merge_bench_rows, Report, RunCtx, TextTable, QUICK_ROWS_NOT_MERGED};
 use ddpm_serve::{ServeClient, Server, ServerConfig};
 use serde_json::{json, Value};
 use std::net::TcpListener;
@@ -252,18 +252,25 @@ pub fn run(ctx: &RunCtx) -> Report {
     });
 
     // Merge the serve-* rows into the shared throughput bench document
-    // (the criterion bench's sim rows survive, and vice versa).
+    // (the criterion bench's sim rows survive, and vice versa). Quick
+    // runs use smaller cells; their rows must not replace the committed
+    // full-profile ones.
     let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_throughput.json");
-    if let Err(e) = merge_bench_rows(
-        Path::new(bench_path),
-        "sim_throughput",
-        &|r| {
-            r["engine"]
-                .as_str()
-                .is_some_and(|e| e.starts_with("serve"))
-        },
-        bench_rows,
-    ) {
+    let merged = if ctx.quick {
+        Err(QUICK_ROWS_NOT_MERGED.to_owned())
+    } else {
+        merge_bench_rows(
+            Path::new(bench_path),
+            "sim_throughput",
+            &|r| {
+                r["engine"]
+                    .as_str()
+                    .is_some_and(|e| e.starts_with("serve"))
+            },
+            bench_rows,
+        )
+    };
+    if let Err(e) = merged {
         body.push_str(&format!("(bench rows not merged: {e})\n"));
     }
 

@@ -171,6 +171,11 @@ pub fn write_json(path: &Path, value: &Value) -> Result<(), String> {
     std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
+/// Why a `--quick` run leaves the shared bench document alone: its
+/// smaller workloads must not replace the committed full-profile rows.
+pub const QUICK_ROWS_NOT_MERGED: &str =
+    "quick profile; committed full-profile rows in BENCH_sim_throughput.json kept";
+
 /// Merge-writes rows into a shared bench document (`{"bench": ...,
 /// "rows": [...]}`): rows already in `path` for which `mine` is false
 /// are preserved, rows for which it is true are replaced by

@@ -13,6 +13,9 @@ fn every_experiment_runs_quick_and_roundtrips_json() {
         quick: true,
         ..RunCtx::default()
     };
+    // Quick runs must not overwrite committed artifacts.
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_throughput.json");
+    let before = std::fs::read(bench).expect("committed throughput rows");
     let mut seen = Vec::new();
     for (key, runner) in all_experiments() {
         let report = runner(&ctx);
@@ -31,6 +34,11 @@ fn every_experiment_runs_quick_and_roundtrips_json() {
         seen.push(key);
     }
     assert!(seen.len() >= 24, "experiment registry shrank: {seen:?}");
+    let after = std::fs::read(bench).expect("throughput rows still readable");
+    assert!(
+        before == after,
+        "a quick run rewrote BENCH_sim_throughput.json"
+    );
 }
 
 #[test]

@@ -15,7 +15,7 @@ use crate::butterfly::Butterfly;
 use crate::marking::PortMarking;
 use ddpm_net::Packet;
 use ddpm_sim::{InvariantChecker, SimConfig, SimStats, SimTime, Violation};
-use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, Telemetry, TelemetryConfig};
+use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -113,12 +113,6 @@ impl MinSimulation {
             tele: Telemetry::from_config(&cfg.telemetry).map(Box::new),
             checker: InvariantChecker::new(cfg.invariants),
         }
-    }
-
-    /// Installs telemetry on an already-built run (keeps the terse
-    /// `new()` + field-tweak construction style usable with tracing).
-    pub fn set_telemetry(&mut self, cfg: &TelemetryConfig) {
-        self.tele = Telemetry::from_config(cfg).map(Box::new);
     }
 
     /// Live telemetry state, when enabled.
@@ -444,7 +438,7 @@ mod tests {
     use super::*;
     use ddpm_net::{AddrMap, Ipv4Header, PacketId, Protocol, TrafficClass, L4};
     use ddpm_sim::ClassCounters;
-    use ddpm_telemetry::{shared, MemorySink};
+    use ddpm_telemetry::{shared, MemorySink, TelemetryConfig};
     use ddpm_topology::{NodeId, Topology};
 
     fn mk_packet(map: &AddrMap, id: u64, src: NodeId, dst: NodeId, class: TrafficClass) -> Packet {

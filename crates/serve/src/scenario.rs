@@ -3,7 +3,7 @@
 //!
 //! A downstream user describes a cluster, a routing algorithm, a
 //! marking scheme, benign background and an attack in JSON; the runner
-//! executes it and reports statistics, detection and the DDPM census.
+//! executes it and reports statistics and the victim-side attribution.
 //! See `scenarios/*.json` at the repository root for ready-made files.
 //!
 //! The one-shot entry points ([`run_scenario`], [`resume_scenario`])
@@ -271,34 +271,6 @@ impl RouterSpec {
     }
 }
 
-/// Marking-scheme selection (the legacy one-sided knob; prefer
-/// [`ScenarioConfig::scheme`] for two-sided plugins).
-#[derive(Clone, Copy, Debug)]
-pub enum MarkingSpec {
-    /// No marking at all.
-    None,
-    /// Deterministic distance-driven packet marking (positional codec).
-    Ddpm,
-    /// DDPM with the residue-number-system codec.
-    DdpmResidue,
-    /// Classic deterministic packet marking (ingress signature).
-    Dpm,
-}
-
-impl FromJson for MarkingSpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("none") => Ok(MarkingSpec::None),
-            Some("ddpm") => Ok(MarkingSpec::Ddpm),
-            Some("ddpm_residue") => Ok(MarkingSpec::DdpmResidue),
-            Some("dpm") => Ok(MarkingSpec::Dpm),
-            _ => Err(JsonError::msg(
-                "marking must be one of none, ddpm, ddpm_residue, dpm",
-            )),
-        }
-    }
-}
-
 /// Attack selection.
 #[derive(Clone, Debug)]
 pub enum AttackSpec {
@@ -545,14 +517,13 @@ pub struct ScenarioConfig {
     pub topology: TopologySpec,
     /// Routing algorithm for every switch.
     pub router: RouterSpec,
-    /// Legacy one-sided marking knob (default `ddpm`).
-    pub marking: MarkingSpec,
-    /// Plugin marking scheme (`"scheme": "ddpm" | "dpm" | "ppm-edge" |
-    /// "ppm-xor" | "tracemax" | "none"`). Selects a two-sided
-    /// [`MarkingScheme`] — switch-side marker plus victim-side
-    /// collector — and is mutually exclusive with the legacy
-    /// `"marking"` knob. Unknown names and scheme/topology mismatches
-    /// are loader errors, never panics. Absent = legacy path.
+    /// Marking scheme (`"scheme": "ddpm" | "dpm" | "ppm-edge" |
+    /// "ppm-xor" | "tracemax" | "none"`, or an `auth-*` variant).
+    /// Required in a scenario file. Selects a two-sided
+    /// `MarkingScheme` — switch-side marker plus victim-side collector.
+    /// Unknown names are loader errors; scheme/topology mismatches are
+    /// build errors, never panics. `Option` only for programmatic
+    /// configs: [`ScenarioWorld::build`] refuses `None`.
     pub scheme: Option<SchemeSpec>,
     /// Keyed-tag width for `auth-*` schemes (`"tag_bits": N`). Carves
     /// `N` bits off the inner scheme's MF budget; absent = the scheme's
@@ -560,9 +531,8 @@ pub struct ScenarioConfig {
     /// narrow/wide, no spare room, non-auth scheme) are loader errors.
     pub tag_bits: Option<u32>,
     /// Byzantine marking-plane adversary (`"adversary": {...}` block;
-    /// absent = every switch honest). Requires `scheme`: the adversary
-    /// wraps the plugin marker and needs the scheme's mark layout to
-    /// forge plausible fields.
+    /// absent = every switch honest). The adversary wraps the `scheme`
+    /// marker and forges marks in that scheme's layout.
     pub adversary: Option<AdversarySpec>,
     /// RNG seed (default 2004).
     pub seed: u64,
@@ -620,7 +590,6 @@ impl FromJson for ScenarioConfig {
             &[
                 "topology",
                 "router",
-                "marking",
                 "scheme",
                 "tag_bits",
                 "adversary",
@@ -641,52 +610,19 @@ impl FromJson for ScenarioConfig {
             None | Some(Value::Null) => None,
             Some(a) => Some(AttackSpec::from_json(a)?),
         };
-        let scheme = match v.get("scheme") {
-            None | Some(Value::Null) => None,
-            Some(s) => {
-                let name = s
-                    .as_str()
-                    .ok_or_else(|| JsonError::msg("`scheme` must be a string"))?;
-                Some(SchemeSpec::parse(name).map_err(JsonError::msg)?)
-            }
-        };
-        if scheme.is_some() {
-            match v.get("marking") {
-                None | Some(Value::Null) => {}
-                Some(_) => {
-                    return Err(JsonError::msg(
-                        "`scheme` and `marking` are mutually exclusive: `scheme` \
-                         selects the plugin marker and its victim-side collector; \
-                         drop the legacy `marking` knob",
-                    ))
-                }
-            }
-        }
+        let scheme = req(v, "scheme")?
+            .as_str()
+            .ok_or_else(|| JsonError::msg("`scheme` must be a string"))?;
+        let scheme = SchemeSpec::parse(scheme).map_err(JsonError::msg)?;
         let tag_bits = match v.get("tag_bits") {
             None | Some(Value::Null) => None,
             Some(_) => Some(as_u32(v, "tag_bits")?),
         };
-        match (tag_bits, scheme) {
-            (Some(_), None) => {
-                return Err(JsonError::msg(
-                    "`tag_bits` requires an auth-* `scheme` (the tag is carved out of \
-                     the plugin scheme's marking field)",
-                ))
-            }
-            (Some(_), Some(s)) if !s.is_auth() => {
-                return Err(JsonError::msg(format!(
-                    "scheme `{}` takes no `tag_bits` (only auth-* schemes carry a tag)",
-                    s.as_str()
-                )))
-            }
-            _ => {}
-        }
-        let adversary = adversary_block(v)?;
-        if adversary.is_some() && scheme.is_none() {
-            return Err(JsonError::msg(
-                "`adversary` requires the `scheme` knob: the adversary wraps the \
-                 plugin marker and forges marks in that scheme's layout",
-            ));
+        if tag_bits.is_some() && !scheme.is_auth() {
+            return Err(JsonError::msg(format!(
+                "scheme `{}` takes no `tag_bits` (only auth-* schemes carry a tag)",
+                scheme.as_str()
+            )));
         }
         let fault_rate = opt_f64(v, "fault_rate", 0.0)?;
         if !(0.0..=1.0).contains(&fault_rate) {
@@ -709,13 +645,9 @@ impl FromJson for ScenarioConfig {
         Ok(Self {
             topology: TopologySpec::from_json(req(v, "topology")?)?,
             router: RouterSpec::from_json(req(v, "router")?)?,
-            marking: match scheme {
-                Some(_) => MarkingSpec::None,
-                None => MarkingSpec::from_json(req(v, "marking")?)?,
-            },
-            scheme,
+            scheme: Some(scheme),
             tag_bits,
-            adversary,
+            adversary: adversary_block(v)?,
             seed: opt_u64(v, "seed", 2004)?,
             fault_rate,
             background_interval: opt_u64(v, "background_interval", 32)?,
@@ -907,7 +839,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "torus", "dims": [8, 8]},
                 "router": "fully_adaptive",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "attack": {
                     "kind": "udp_flood",
                     "zombies": [3, 40], "victim": 27,
@@ -923,11 +855,14 @@ mod tests {
         let cfg = sample_cfg();
         assert_eq!(cfg.seed, 2004, "defaults applied");
         let out = run_scenario(&cfg).expect("runs");
-        assert!(out.text.contains("census"));
-        let census = out.json["census"].as_array().unwrap();
-        let nodes: Vec<u64> = census.iter().map(|r| r["node"].as_u64().unwrap()).collect();
-        assert!(nodes.contains(&3) && nodes.contains(&40));
-        assert_eq!(nodes.len(), 2);
+        assert!(out.text.contains("attrib :"), "{}", out.text);
+        let cands: Vec<u64> = out.json["attribution"]["candidates"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|c| c.as_u64().unwrap())
+            .collect();
+        assert_eq!(cands, vec![3, 40], "collector names exactly the zombies");
     }
 
     #[test]
@@ -953,9 +888,6 @@ mod tests {
         cfg.background_interval = 0;
         let err = run_scenario(&cfg).unwrap_err();
         assert!(err.contains("ddpm"), "{err}");
-        // …but the residue codec handles it.
-        cfg.marking = MarkingSpec::DdpmResidue;
-        assert!(run_scenario(&cfg).is_ok());
     }
 
     #[test]
@@ -964,7 +896,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "minimal_adaptive",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "background_interval": 8,
                 "horizon": 2000,
                 "fault_retries": 4,
@@ -1048,18 +980,11 @@ mod tests {
     }
 
     #[test]
-    fn scheme_and_marking_are_mutually_exclusive() {
-        let err = serde_json::from_str::<ScenarioConfig>(
-            r#"{
-                "topology": {"kind": "mesh", "dims": [4, 4]},
-                "router": "dimension_order",
-                "scheme": "ddpm",
-                "marking": "ddpm"
-            }"#,
-        )
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("mutually exclusive"), "{err}");
+    fn build_refuses_a_config_without_a_scheme() {
+        let mut cfg = sample_cfg();
+        cfg.scheme = None;
+        let err = run_scenario(&cfg).unwrap_err();
+        assert!(err.contains("no `scheme`"), "{err}");
     }
 
     #[test]
@@ -1097,7 +1022,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "dimension_order",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "fault_retires": 6
             }"#,
         )
@@ -1108,34 +1033,41 @@ mod tests {
     }
 
     #[test]
-    fn removed_engine_knobs_are_a_named_error() {
-        let base = |extra: &str| {
+    fn removed_knobs_are_named_errors_also_on_resume() {
+        let base = |knobs: &str| {
             format!(
                 r#"{{
                     "topology": {{"kind": "mesh", "dims": [4, 4]}},
                     "router": "dimension_order",
-                    "scheme": "ddpm",
+                    {knobs}
                     "horizon": 600,
                     "attack": {{"kind": "udp_flood", "zombies": [1, 6], "victim": 14,
-                               "packets_per_zombie": 40, "interval": 8}}{extra}
+                               "packets_per_zombie": 40, "interval": 8}}
                 }}"#
             )
         };
-        for extra in [
-            r#", "engine": "sharded", "shards": 2"#,
-            r#", "engine": "serial""#,
-            r#", "shards": 4"#,
-        ] {
-            let err = serde_json::from_str::<ScenarioConfig>(&base(extra))
+        let engine: &[&str] = &[ENGINE_KNOBS_REMOVED];
+        let stale = [
+            (base(r#""scheme": "ddpm", "engine": "sharded", "shards": 2,"#), engine),
+            (base(r#""scheme": "ddpm", "engine": "serial","#), engine),
+            (base(r#""scheme": "ddpm", "shards": 4,"#), engine),
+            (
+                base(r#""marking": "ddpm","#),
+                &["unknown field `marking`", "accepted fields: topology, router, scheme"],
+            ),
+            (base(""), &["missing field `scheme`"]),
+        ];
+        for (raw, needles) in &stale {
+            let err = serde_json::from_str::<ScenarioConfig>(raw)
                 .unwrap_err()
                 .to_string();
-            assert!(err.contains(ENGINE_KNOBS_REMOVED), "{extra}: {err}");
+            assert!(needles.iter().all(|n| err.contains(n)), "{err}");
         }
 
-        // A checkpoint whose embedded scenario still selects the sharded
-        // engine is refused on resume with the same error.
-        let raw = base("");
-        let dir = tmpdir("engine-src");
+        // A checkpoint whose embedded scenario still uses a removed knob
+        // is refused on resume with the same error.
+        let raw = base(r#""scheme": "ddpm","#);
+        let dir = tmpdir("removed-src");
         let mut cfg: ScenarioConfig = serde_json::from_str(&raw).expect("valid config");
         cfg.checkpoint = Some(CheckpointConfig::new(200, &dir));
         run_scenario_with_source(&cfg, &raw).expect("checkpointed run");
@@ -1143,12 +1075,14 @@ mod tests {
             .expect("scan")
             .best
             .expect("a checkpoint was written");
-        let stale = base(r#", "engine": "sharded", "shards": 2"#);
-        let restamped = tmpdir("engine-dst");
-        let fp = ddpm_checkpoint::fingerprint(&stale);
-        ddpm_checkpoint::store(&restamped, fp, &stale, &ckpt.snapshot, 2).expect("store");
-        let err = resume_scenario(&restamped).unwrap_err();
-        assert!(err.contains(ENGINE_KNOBS_REMOVED), "{err}");
+        let restamped = tmpdir("removed-dst");
+        for (raw, needles) in &stale {
+            let _ = std::fs::remove_dir_all(&restamped);
+            let fp = ddpm_checkpoint::fingerprint(raw);
+            ddpm_checkpoint::store(&restamped, fp, raw, &ckpt.snapshot, 2).expect("store");
+            let err = resume_scenario(&restamped).unwrap_err();
+            assert!(needles.iter().all(|n| err.contains(n)), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&restamped).unwrap();
     }
@@ -1158,25 +1092,25 @@ mod tests {
         for (raw, offender) in [
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4], "wrap": true},
-                    "router": "dimension_order", "marking": "none"}"#,
+                    "router": "dimension_order", "scheme": "none"}"#,
                 "`wrap` in topology",
             ),
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4]},
-                    "router": "dimension_order", "marking": "none",
+                    "router": "dimension_order", "scheme": "none",
                     "attack": {"kind": "udp_flood", "zombies": [1], "victim": 2,
                                "packets_per_zombie": 1, "interval": 1, "rate": 9}}"#,
                 "`rate` in attack",
             ),
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4]},
-                    "router": "dimension_order", "marking": "none",
+                    "router": "dimension_order", "scheme": "none",
                     "fault_schedule": [{"at": 1, "kind": "switch_down", "node": 0, "sev": 2}]}"#,
                 "`sev` in fault event",
             ),
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4]},
-                    "router": "dimension_order", "marking": "none",
+                    "router": "dimension_order", "scheme": "none",
                     "watchdog": {"max_age": 64, "periods": 3}}"#,
                 "`periods` in watchdog",
             ),
@@ -1208,7 +1142,7 @@ mod tests {
         let base = |extra: &str| {
             format!(
                 r#"{{"topology": {{"kind": "mesh", "dims": [4, 4]}},
-                    "router": "dimension_order", "marking": "none", {extra}}}"#
+                    "router": "dimension_order", "scheme": "none", {extra}}}"#
             )
         };
         let err = serde_json::from_str::<ScenarioConfig>(&base(r#""fault_rate": 1.5"#))
@@ -1231,7 +1165,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "minimal_adaptive",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "background_interval": 16,
                 "horizon": 1500,
                 "invariants": true,
@@ -1266,7 +1200,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "dimension_order",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "checkpoint": {"every": 200, "dir": "target/ckpt", "keep": 3, "crash_at": 400}
             }"#,
         )
@@ -1290,7 +1224,7 @@ mod tests {
         ] {
             let raw = format!(
                 r#"{{"topology": {{"kind": "mesh", "dims": [4, 4]}},
-                    "router": "dimension_order", "marking": "none", {extra}}}"#
+                    "router": "dimension_order", "scheme": "none", {extra}}}"#
             );
             let err = serde_json::from_str::<ScenarioConfig>(&raw)
                 .unwrap_err()
@@ -1304,7 +1238,7 @@ mod tests {
         let raw = r#"{
             "topology": {"kind": "torus", "dims": [6, 6]},
             "router": "fully_adaptive",
-            "marking": "ddpm",
+            "scheme": "ddpm",
             "horizon": 1200,
             "invariants": true,
             "attack": {"kind": "udp_flood", "zombies": [3, 17], "victim": 30,
@@ -1378,10 +1312,6 @@ mod tests {
         };
         for (extra, needle) in [
             (
-                r#""marking": "ddpm", "adversary": {"switches": [5], "behavior": "skip"}"#,
-                "requires the `scheme` knob",
-            ),
-            (
                 r#""scheme": "ddpm", "adversary": {"switches": [], "behavior": "skip"}"#,
                 "at least one compromised switch",
             ),
@@ -1398,7 +1328,6 @@ mod tests {
                     "adversary": {"switches": [5], "behavior": "skip", "strength": 2}"#,
                 "unknown field `strength`",
             ),
-            (r#""marking": "ddpm", "tag_bits": 8"#, "requires an auth-* `scheme`"),
             (r#""scheme": "ddpm", "tag_bits": 8"#, "takes no `tag_bits`"),
         ] {
             let err = serde_json::from_str::<ScenarioConfig>(&base(extra))

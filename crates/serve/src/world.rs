@@ -12,18 +12,17 @@
 //! `execute()` so the outcome digest of a world driven in arbitrary
 //! stride interleavings is identical to the standalone run's.
 
-use crate::scenario::{fnv64, AttackSpec, MarkingSpec, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{fnv64, AttackSpec, ScenarioConfig, ScenarioOutcome};
 use ddpm_attack::{
     AdversaryModel, BackgroundTraffic, FloodAttack, PacketFactory, SpoofStrategy, SynFloodAttack,
     TrafficPattern, Workload,
 };
-use ddpm_core::identify::attack_census;
-use ddpm_core::{build_scheme_with, DdpmScheme, DpmScheme};
-use ddpm_net::{AddrMap, CodecMode, TrafficClass};
+use ddpm_core::build_scheme_with;
+use ddpm_net::{AddrMap, TrafficClass};
 use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_sim::{
-    Collector, Delivered, InvariantConfig, Marker, MarkingScheme, NoMarking, RetryPolicy,
-    SimConfig, SimTime, Simulation,
+    Collector, Delivered, InvariantConfig, Marker, MarkingScheme, RetryPolicy, SimConfig, SimTime,
+    Simulation,
 };
 use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, TelemetryConfig};
 use ddpm_topology::{FaultSchedule, FaultSet, NodeId, Topology};
@@ -131,12 +130,13 @@ impl<'a> Tally<'a> {
 /// reports exactly what the one-shot runner would have.
 ///
 /// The struct is self-referential: `sim` borrows the boxed topology,
-/// fault set and marker; `adversary` and `resident` borrow the boxed
-/// plugin (and `resident` the topology). The
-/// borrows are lifetime-extended to `'static` at construction, which
-/// is sound because the referents are heap allocations owned by fields
-/// declared *after* the borrowers (Rust drops fields in declaration
-/// order, so the borrowers go first) and never moved or reassigned.
+/// fault set and marker (the plugin, or the adversary wrapping it);
+/// `adversary` and `resident` borrow the boxed plugin (and `resident`
+/// the topology). The borrows are lifetime-extended to `'static` at
+/// construction, which is sound because the referents are heap
+/// allocations owned by fields declared *after* the borrowers (Rust
+/// drops fields in declaration order, so the borrowers go first) and
+/// never moved or reassigned.
 /// `ScenarioWorld` is `Send` — a tenant migrates freely between the
 /// service's worker threads — but not `Sync`; concurrent access goes
 /// through the per-tenant mutex in `server.rs`.
@@ -150,10 +150,7 @@ pub struct ScenarioWorld {
     /// while the world stays `Send`.
     resident: Mutex<Option<Tally<'static>>>,
     // ---- owners of the borrowed-from allocations --------------------
-    plugin: Option<Box<dyn MarkingScheme>>,
-    ddpm: Option<Box<DdpmScheme>>,
-    _dpm: Box<DpmScheme>,
-    _none: Box<NoMarking>,
+    plugin: Box<dyn MarkingScheme>,
     faults: Box<FaultSet>,
     topo: Box<Topology>,
     // ---- inert owned state ------------------------------------------
@@ -180,10 +177,10 @@ impl ScenarioWorld {
     /// Equivalent to [`Self::build_with`] with no telemetry override.
     ///
     /// # Errors
-    /// Every validation wall of the one-shot runner: scheme/topology
-    /// mismatches, out-of-range nodes, invalid fault schedules,
-    /// adversary misconfiguration, checkpoint/adversary state
-    /// mismatches on resume.
+    /// Every validation wall of the one-shot runner: a config with no
+    /// `scheme`, scheme/topology mismatches, out-of-range nodes, invalid
+    /// fault schedules, adversary misconfiguration, checkpoint/adversary
+    /// state mismatches on resume.
     pub fn build(
         cfg: &ScenarioConfig,
         source: Option<&str>,
@@ -207,10 +204,9 @@ impl ScenarioWorld {
         telemetry: Option<TelemetryConfig>,
     ) -> Result<Self, String> {
         let topo = Box::new(cfg.topology.build());
-        // SAFETY: `topo`, `faults`, `plugin`, `ddpm`, `dpm`, `none` and
-        // `adversary` are boxed and stored in the returned struct,
-        // declared after the fields that borrow them; see the struct
-        // docs for the full argument.
+        // SAFETY: `topo`, `faults`, `plugin` and `adversary` are boxed and
+        // stored in the returned struct, declared after the fields that
+        // borrow them; see the struct docs for the full argument.
         let topo_ref: &'static Topology = unsafe { extend(&*topo) };
         let n = topo_ref.num_nodes();
         let router = cfg.router.build(topo_ref);
@@ -224,51 +220,26 @@ impl ScenarioWorld {
             .map_err(|e| format!("fault_schedule: {e}"))?;
 
         // The `"scheme"` knob selects a two-sided plugin; scheme/topology
-        // mismatches (e.g. tracemax on a long-diameter mesh) surface here
-        // as loader errors, exactly like an oversized-DDPM config.
-        let plugin: Option<Box<dyn MarkingScheme>> = match cfg.scheme {
-            Some(spec) => Some(build_scheme_with(spec, topo_ref, cfg.tag_bits)?),
-            None => None,
-        };
-        let plugin_ref: Option<&'static dyn MarkingScheme> =
-            plugin.as_deref().map(|p| unsafe { extend(p) });
+        // mismatches (e.g. tracemax on a long-diameter mesh, DDPM on a
+        // cluster too large for the marking field) surface here as
+        // loader errors.
+        let spec = cfg.scheme.ok_or("scenario configures no `scheme`")?;
+        let plugin = build_scheme_with(spec, topo_ref, cfg.tag_bits)?;
+        let plugin_ref: &'static dyn MarkingScheme = unsafe { extend(&*plugin) };
         // The `"adversary"` block wraps the plugin marker: compromised
         // switches run the configured behavior, everyone else delegates to
         // the honest scheme. Range checks (switches/framed vs. the built
         // topology) surface here as loader errors.
         let adversary: Option<Box<AdversaryModel<'static>>> = match &cfg.adversary {
             None => None,
-            Some(spec) => {
-                let (p, run) = match (plugin_ref, cfg.scheme) {
-                    (Some(p), Some(run)) => (p, run),
-                    _ => return Err("`adversary` requires the `scheme` knob".into()),
-                };
-                Some(Box::new(
-                    AdversaryModel::new(p, run, topo_ref, spec.clone(), cfg.tag_bits)
-                        .map_err(|e| format!("adversary: {e}"))?,
-                ))
-            }
-        };
-        let ddpm = match cfg.marking {
-            MarkingSpec::Ddpm => Some(Box::new(
-                DdpmScheme::new(topo_ref).map_err(|e| format!("ddpm: {e}"))?,
+            Some(adv) => Some(Box::new(
+                AdversaryModel::new(plugin_ref, spec, topo_ref, adv.clone(), cfg.tag_bits)
+                    .map_err(|e| format!("adversary: {e}"))?,
             )),
-            MarkingSpec::DdpmResidue => Some(Box::new(
-                DdpmScheme::with_mode(topo_ref, CodecMode::Residue)
-                    .map_err(|e| format!("ddpm: {e}"))?,
-            )),
-            _ => None,
         };
-        let dpm = Box::new(DpmScheme::new());
-        let none = Box::new(NoMarking);
-        let marker: &'static dyn Marker = match (&adversary, plugin_ref, cfg.marking) {
-            (Some(a), _, _) => unsafe { extend(&**a) },
-            (None, Some(p), _) => p,
-            (None, None, MarkingSpec::None) => unsafe { extend(&*none) },
-            (None, None, MarkingSpec::Dpm) => unsafe { extend(&*dpm) },
-            (None, None, MarkingSpec::Ddpm | MarkingSpec::DdpmResidue) => unsafe {
-                extend(&**ddpm.as_ref().expect("built above"))
-            },
+        let marker: &'static dyn Marker = match &adversary {
+            Some(a) => unsafe { extend(&**a) },
+            None => plugin_ref,
         };
 
         let check_node = |id: u32, what: &str| -> Result<NodeId, String> {
@@ -296,12 +267,6 @@ impl ScenarioWorld {
         }
 
         let mut sim_cfg = SimConfig::seeded(cfg.seed);
-        if let Some(spec) = cfg.scheme {
-            sim_cfg = sim_cfg.to_builder().scheme(spec).build();
-        }
-        if let Some(t) = cfg.tag_bits {
-            sim_cfg = sim_cfg.to_builder().tag_bits(t).build();
-        }
         if let Some(spec) = &cfg.adversary {
             // Lets the core flag compromised nodes: it emits `MarkTamper`
             // telemetry at every marking touch by a compromised switch.
@@ -394,9 +359,6 @@ impl ScenarioWorld {
             adversary,
             resident: Mutex::new(None),
             plugin,
-            ddpm,
-            _dpm: dpm,
-            _none: none,
             faults,
             topo,
             cfg: cfg.clone(),
@@ -538,16 +500,9 @@ impl ScenarioWorld {
     /// fed the whole stream.
     ///
     /// # Errors
-    /// No plugin scheme configured, or no victim (neither an `attack`
-    /// block nor an explicit `victim` argument).
+    /// No victim (neither an `attack` block nor an explicit `victim`
+    /// argument), or a victim outside the cluster.
     pub fn identify(&self, victim: Option<u32>) -> Result<OnlineAttribution, String> {
-        if self.plugin.is_none() {
-            return Err(
-                "scenario configures no `scheme`: online identify needs the plugin \
-                 collector (the legacy `marking` knob has no victim side)"
-                    .into(),
-            );
-        }
         let Some(victim) = victim.or_else(|| self.victim()) else {
             return Err(
                 "no victim to attribute for: the scenario has no `attack` block; \
@@ -560,16 +515,16 @@ impl ScenarioWorld {
             return Err(format!("victim {victim} out of range (cluster has {n} nodes)"));
         }
         if Some(victim) == self.victim() {
-            return Ok(self.resident_answer().expect("plugin and victim present").0);
+            return Ok(self.resident_answer().expect("victim present").0);
         }
         Ok(self.rescan(NodeId(victim)))
     }
 
     /// The resident collector's answer for the configured victim, plus
     /// the latest cycle at which it was delivered an attack packet.
-    /// `None` without a plugin scheme or an `attack` block.
+    /// `None` without an `attack` block.
     fn resident_answer(&self) -> Option<(OnlineAttribution, u64)> {
-        let p = self.plugin.as_deref()?;
+        let p = &*self.plugin;
         let victim = NodeId(self.victim()?);
         let mut resident = self.resident.lock().expect("resident collector poisoned");
         let tally = resident.get_or_insert_with(|| {
@@ -588,7 +543,7 @@ impl ScenarioWorld {
     /// A fresh collector for `victim`, fed the whole delivered stream —
     /// the answer the resident collector must always agree with.
     fn rescan(&self, victim: NodeId) -> OnlineAttribution {
-        let p = self.plugin.as_deref().expect("checked by the caller");
+        let p = &*self.plugin;
         let mut tally = Tally::new(p, &self.topo, victim);
         tally.catch_up(self.sim.delivered());
         tally.answer(p.name(), self.sim.now_cycles())
@@ -740,12 +695,9 @@ impl ScenarioWorld {
             fnv64(&s_dump),
         );
 
-        let marking_desc = match cfg.scheme {
-            Some(spec) => format!("{} scheme", spec.as_str()),
-            None => format!("{:?} marking", cfg.marking),
-        };
+        let scheme = self.plugin.name();
         let mut text = format!(
-            "scenario: {topo}, {} routing, {marking_desc}, {} failed links\n\
+            "scenario: {topo}, {} routing, {scheme} scheme, {} failed links\n\
              benign : {} injected, {} delivered ({:.1}% | mean latency {:.1} cyc)\n\
              attack : {} injected, {} delivered, {} dropped\n",
             router,
@@ -798,27 +750,6 @@ impl ScenarioWorld {
                     first.detail,
                 )),
             }
-        }
-        let mut census_json = json!(null);
-        if let Some(scheme) = &self.ddpm {
-            let census = attack_census(topo, scheme, sim.delivered());
-            let mut rows: Vec<(NodeId, u64)> = census.into_iter().collect();
-            rows.sort_by_key(|&(node, c)| (std::cmp::Reverse(c), node));
-            if rows.is_empty() {
-                text.push_str("census : no attack traffic delivered\n");
-            } else {
-                text.push_str("census : DDPM-identified attack sources:\n");
-                for (node, count) in &rows {
-                    text.push_str(&format!(
-                        "         {node} at {} -> {count} packets\n",
-                        topo.coord(*node)
-                    ));
-                }
-            }
-            census_json = json!(rows
-                .iter()
-                .map(|&(node, c)| json!({"node": node.0, "packets": c}))
-                .collect::<Vec<_>>());
         }
         // Victim-side attribution via the scheme plugin's collector, caught
         // up on every attack-class packet the victim received. Text/JSON
@@ -954,11 +885,7 @@ impl ScenarioWorld {
                 "port_bytes": stats.port_bytes,
                 "staged_injection": cfg.staged_injection,
             },
-            "census": census_json,
-            "scheme": match cfg.scheme {
-                Some(spec) => json!(spec.as_str()),
-                None => json!(null),
-            },
+            "scheme": scheme,
             "tag_bits": match cfg.tag_bits {
                 Some(t) => json!(t),
                 None => json!(null),

@@ -2,7 +2,6 @@
 
 use crate::adversary::AdversarySpec;
 use crate::invariant::InvariantConfig;
-use crate::scheme::SchemeSpec;
 use crate::watchdog::WatchdogConfig;
 use ddpm_telemetry::TelemetryConfig;
 
@@ -154,23 +153,12 @@ pub struct SimConfig {
     /// RNG seed. Identical configs + identical injections ⇒ identical
     /// runs.
     pub seed: u64,
-    /// Which traceback scheme the run's marker/collector pair belongs
-    /// to. Purely descriptive for the simulator core (the caller still
-    /// passes the concrete `Marker`); drivers use it to build the
-    /// matching scheme object and to label telemetry. `None` (default)
-    /// means "unspecified" — the pre-plugin-API behaviour.
-    pub scheme: Option<SchemeSpec>,
-    /// Keyed-tag width override for `auth-*` schemes, in bits. `None`
-    /// (default) lets the scheme claim its whole spare marking-field
-    /// budget; explicit values are validated against that budget (and
-    /// the minimum tag width) when the scheme is built.
-    pub tag_bits: Option<u32>,
-    /// Compromised-switch adversary (driver-interpreted, like
-    /// [`SimConfig::scheme`]): which switches' marking planes misbehave
-    /// and how. The simulator core uses it only to flag `MarkTamper`
-    /// telemetry at compromised switches; the tampering `Marker`
-    /// wrapper itself is built by the driver (`ddpm-attack`). `None`
-    /// (default) means every switch is honest.
+    /// Compromised-switch adversary (driver-interpreted): which
+    /// switches' marking planes misbehave and how. The simulator core
+    /// uses it only to flag `MarkTamper` telemetry at compromised
+    /// switches; the tampering `Marker` wrapper itself is built by the
+    /// driver (`ddpm-attack`). `None` (default) means every switch is
+    /// honest.
     pub adversary: Option<AdversarySpec>,
     /// Crash-consistent checkpointing (driver-interpreted; `None`
     /// disables it). Results are checkpoint-invariant: a checkpointed
@@ -193,8 +181,6 @@ impl Default for SimConfig {
             watchdog: None,
             invariants: InvariantConfig::default(),
             seed: 0xDD9A,
-            scheme: None,
-            tag_bits: None,
             adversary: None,
             checkpoint: None,
         }
@@ -336,22 +322,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Records which traceback scheme the run uses (see
-    /// [`SimConfig::scheme`]).
-    #[must_use]
-    pub fn scheme(mut self, scheme: SchemeSpec) -> Self {
-        self.cfg.scheme = Some(scheme);
-        self
-    }
-
-    /// Overrides the keyed-tag width of `auth-*` schemes (see
-    /// [`SimConfig::tag_bits`]).
-    #[must_use]
-    pub fn tag_bits(mut self, bits: u32) -> Self {
-        self.cfg.tag_bits = Some(bits);
-        self
-    }
-
     /// Installs a compromised-switch adversary (see
     /// [`SimConfig::adversary`]).
     #[must_use]
@@ -401,8 +371,6 @@ mod tests {
             .watchdog(WatchdogConfig::default())
             .invariants(InvariantConfig::strict())
             .seed(42)
-            .scheme(SchemeSpec::Ddpm)
-            .tag_bits(8)
             .adversary(adversary.clone())
             .checkpoint(CheckpointConfig::new(500, "/tmp/ckpt"))
             .build();
@@ -418,8 +386,6 @@ mod tests {
         assert_eq!(cfg.watchdog, Some(WatchdogConfig::default()));
         assert!(cfg.invariants.enabled && cfg.invariants.panic_on_violation);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.scheme, Some(SchemeSpec::Ddpm));
-        assert_eq!(cfg.tag_bits, Some(8));
         assert_eq!(cfg.adversary, Some(adversary));
         let ck = cfg.checkpoint.expect("checkpoint knob set");
         assert_eq!(ck.every, 500);
@@ -443,8 +409,6 @@ mod tests {
         assert_eq!(built.reroute_retry, RetryPolicy::OFF);
         assert!(!built.telemetry.enabled());
         assert_eq!(built.watchdog, None, "watchdog is opt-in");
-        assert_eq!(built.scheme, None, "scheme label is opt-in");
-        assert_eq!(built.tag_bits, None, "tag width defaults to the spare budget");
         assert_eq!(built.adversary, None, "switches are honest by default");
         assert_eq!(
             built.invariants.enabled,

@@ -752,14 +752,6 @@ impl<'a> Simulation<'a> {
         true
     }
 
-    /// Has the run reached quiescence (close-out done, stats final)?
-    /// Once true, further [`Simulation::run_until`] calls are no-ops
-    /// and [`Simulation::schedule`] must not be called.
-    #[must_use]
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
-    }
-
     /// One serial event: advance time, run the handler, post-checks,
     /// optional phase profiling. Shared by [`Simulation::run`] and
     /// [`Simulation::run_until`].

@@ -22,7 +22,7 @@
 //! other source change.
 
 use ddpm_bench::scenario_config::{
-    run_scenario, AttackSpec, MarkingSpec, RouterSpec, ScenarioConfig, TopologySpec,
+    run_scenario, AttackSpec, RouterSpec, ScenarioConfig, TopologySpec,
 };
 use ddpm_sim::{AdversaryBehavior, AdversarySpec, SchemeSpec, WatchdogConfig};
 use ddpm_topology::{FaultEvent, NodeId};
@@ -78,8 +78,7 @@ fn micro_config(topo: &TopologySpec, router: RouterSpec, churn: &str) -> Scenari
     let mut cfg = ScenarioConfig {
         topology: topo.clone(),
         router,
-        marking: MarkingSpec::Ddpm,
-        scheme: None,
+        scheme: Some(SchemeSpec::Ddpm),
         tag_bits: None,
         adversary: None,
         seed: 2004,
@@ -133,7 +132,6 @@ fn scheme_config(topo: &TopologySpec, spec: SchemeSpec) -> ScenarioConfig {
     ScenarioConfig {
         topology: topo.clone(),
         router: RouterSpec::DimensionOrder,
-        marking: MarkingSpec::None,
         scheme: Some(spec),
         tag_bits: None,
         adversary: None,
@@ -263,8 +261,7 @@ fn scale_cells() -> Vec<(String, ScenarioConfig)> {
     let flood = |topo: TopologySpec, victim: u32, staged: bool| ScenarioConfig {
         topology: topo,
         router: RouterSpec::DimensionOrder,
-        marking: MarkingSpec::Ddpm,
-        scheme: None,
+        scheme: Some(SchemeSpec::Ddpm),
         tag_bits: None,
         adversary: None,
         seed: 2004,

@@ -177,12 +177,6 @@ impl Telemetry {
         }
     }
 
-    /// Event counts in [`EventKind::index`] order.
-    #[must_use]
-    pub fn event_counts(&self) -> [u64; EventKind::COUNT] {
-        self.counts
-    }
-
     /// Count for one event kind by wire name (`"mark"`, `"drop"`, …).
     #[must_use]
     pub fn count_of(&self, name: &str) -> u64 {

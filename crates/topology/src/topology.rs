@@ -128,13 +128,6 @@ impl Topology {
         }
     }
 
-    /// True for topologies with wrap-around channels (torus) or XOR
-    /// distance semantics (hypercube); false for the mesh.
-    #[must_use]
-    pub fn has_wraparound(&self) -> bool {
-        !matches!(self, Topology::Mesh(_))
-    }
-
     /// Number of dimensions.
     #[must_use]
     pub fn ndims(&self) -> usize {
@@ -153,12 +146,6 @@ impl Topology {
             Topology::Torus(t) => t.dims().to_vec(),
             Topology::Hypercube(h) => h.dims(),
         }
-    }
-
-    /// Radix of dimension `d`.
-    #[must_use]
-    pub fn dim_size(&self, d: usize) -> u16 {
-        self.dims()[d]
     }
 
     /// Total node count.
