@@ -10,10 +10,11 @@
 //! stdout — `{"ready":true,"addr":"<ip:port>","resumed":[...]}` — so a
 //! parent process can bind port 0 and learn the actual address.
 //!
-//! SIGINT/SIGTERM trigger a graceful drain: in-flight strides finish,
-//! every unfinished tenant writes a final checkpoint, and the process
-//! exits 0. Restarting with the same `--checkpoint-root` resumes every
-//! tenant bit-identically (the simulator's determinism contract).
+//! SIGINT/SIGTERM trigger a graceful drain: in-flight strides stop at
+//! their next slice boundary, every unfinished tenant writes a final
+//! checkpoint, and the process exits 0. Restarting with the same
+//! `--checkpoint-root` resumes every tenant bit-identically (the
+//! simulator's determinism contract).
 
 use ddpm_serve::{Server, ServerConfig};
 use serde_json::json;

@@ -4,11 +4,19 @@
 //! [`ScenarioWorld`] — and a pool of worker threads that advance
 //! autorun tenants round-robin in bounded strides: a worker claims the
 //! tenant at the head of the run queue, steps it one stride, re-queues
-//! it if unfinished, and moves on. The stride bound is the fairness
-//! unit (no tenant can monopolise a worker) *and* the latency bound of
-//! the verbs that need the world itself (`tenant.inject`,
-//! `tenant.step`, `tenant.stats`, ... wait at most one stride for the
-//! tenant's lock).
+//! it if unfinished, and moves on. The stride is the fairness unit: no
+//! tenant can monopolise a worker.
+//!
+//! The slice is the latency unit. A worker steps its stride as a run of
+//! [`SLICE`]-cycle steps and ends the stride early, at the next slice
+//! boundary, once a request waits for the tenant. So the verbs that need
+//! the world itself (`tenant.inject`, `tenant.step`, `tenant.stats`,
+//! `tenant.snapshot`, `tenant.subscribe`, `tenant.outcome`,
+//! `tenant.destroy`, drain) wait at most one slice for the tenant's
+//! lock, not a whole stride. A preempted tenant is re-queued by the
+//! request that preempted it, after that request has had the lock. An
+//! explicit `tenant.step {cycles}` is a request, not a worker stride: it
+//! runs all its cycles and is not preempted.
 //!
 //! The hot reads do not wait at all. After every advancement, and when
 //! a tenant is created or resumed, the stepping thread publishes the
@@ -39,13 +47,17 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 /// Maximum telemetry events a tenant buffers between `subscribe`
 /// drains (oldest dropped beyond this; the drop count is reported).
 const TELEMETRY_BACKLOG: usize = 65_536;
+
+/// Cycles a worker steps between checks for waiting requests: the
+/// longest a request waits for a tenant a worker is advancing.
+const SLICE: u64 = 16;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -89,7 +101,8 @@ struct Tenant {
     world: ScenarioWorld,
     sink: Option<BroadcastSink>,
     /// Set while the tenant sits in the run queue or under a worker's
-    /// stride, so concurrent enqueues cannot double-queue it.
+    /// stride, so concurrent enqueues cannot double-queue it. Cleared
+    /// when a waiting request cuts the stride short.
     queued: bool,
     /// Cycle of the last service-side checkpoint.
     checkpointed_at: u64,
@@ -136,6 +149,9 @@ impl View {
 struct Slot {
     autorun: bool,
     tenant: Mutex<Tenant>,
+    /// Requests waiting for `tenant`; a worker ends its stride at the
+    /// next slice boundary while any is.
+    waiting: AtomicUsize,
     /// The latest [`View`], locked only long enough to clone the `Arc`.
     view: Mutex<Arc<View>>,
 }
@@ -144,6 +160,7 @@ impl Slot {
     fn new(tenant: Tenant, autorun: bool) -> Self {
         Self {
             autorun,
+            waiting: AtomicUsize::new(0),
             view: Mutex::new(View::of(&tenant.world)),
             tenant: Mutex::new(tenant),
         }
@@ -151,6 +168,15 @@ impl Slot {
 
     fn lock(&self) -> MutexGuard<'_, Tenant> {
         self.tenant.lock().expect("tenant poisoned")
+    }
+
+    /// Takes the tenant lock for a request, counted as waiting while
+    /// blocked so that a worker mid-stride yields within one slice.
+    fn claim(&self) -> MutexGuard<'_, Tenant> {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let t = self.lock();
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        t
     }
 
     fn view(&self) -> Arc<View> {
@@ -324,6 +350,28 @@ impl Server {
             .ok_or_else(|| format!("no such tenant `{name}`"))
     }
 
+    /// Runs `f` on tenant `name` under its lock, as a request: a worker
+    /// advancing the tenant yields within one slice, leaving it off the
+    /// run queue, and this call re-queues an autorun tenant that is not
+    /// done once the lock is released. The worker thus cannot win the
+    /// tenant back before the request has had it.
+    fn with_tenant<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&Slot, &mut Tenant) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let slot = self.slot(name)?;
+        let mut t = slot.claim();
+        let out = f(&slot, &mut t);
+        let requeue = slot.autorun && !t.queued && !t.world.done();
+        t.queued |= requeue;
+        drop(t);
+        if requeue {
+            push(&self.inner, name.to_owned());
+        }
+        out
+    }
+
     /// Handles one request line end to end: parse, dispatch, respond.
     /// Always returns a response line (never closes the conversation).
     /// Even when the request fails to parse, a recoverable `"id"` is
@@ -400,19 +448,15 @@ impl Server {
                 self.insert_tenant(name.clone(), tenant, *autorun)?;
                 Ok(json!({"tenant": name.as_str(), "nodes": nodes, "autorun": *autorun}))
             }
-            Request::Inject { tenant, attack } => {
-                let slot = self.slot(tenant)?;
-                let mut t = slot.lock();
+            Request::Inject { tenant, attack } => self.with_tenant(tenant, |_, t| {
                 let (first_cycle, packets) = t.world.inject(attack)?;
                 Ok(json!({"first_cycle": first_cycle, "packets": packets}))
-            }
-            Request::Step { tenant, cycles } => {
-                let slot = self.slot(tenant)?;
-                let mut t = slot.lock();
+            }),
+            Request::Step { tenant, cycles } => self.with_tenant(tenant, |slot, t| {
                 let done = t.world.step(cycles.unwrap_or(self.inner.cfg.stride));
                 slot.publish(&t.world);
                 Ok(json!({"cycle": t.world.now_cycles(), "done": done}))
-            }
+            }),
             Request::Identify { tenant, victim } => {
                 let slot = self.slot(tenant)?;
                 let view = slot.view();
@@ -423,22 +467,16 @@ impl Server {
                         published.as_ref().map(identify_body).map_err(Clone::clone)
                     }
                     (Some(v), Ok(a)) if *v == a.victim => Ok(identify_body(a)),
-                    (Some(_), _) => slot
-                        .lock()
-                        .world
-                        .identify(*victim)
-                        .map(|a| identify_body(&a)),
+                    (Some(_), _) => self.with_tenant(tenant, |_, t| {
+                        t.world.identify(*victim).map(|a| identify_body(&a))
+                    }),
                 }
             }
             Request::Stats { tenant } => {
-                let slot = self.slot(tenant)?;
-                let t = slot.lock();
-                Ok(t.stats_body(slot.autorun))
+                self.with_tenant(tenant, |slot, t| Ok(t.stats_body(slot.autorun)))
             }
             Request::Snapshot { tenant } => {
-                let slot = self.slot(tenant)?;
-                let mut t = slot.lock();
-                match t.world.checkpoint_now()? {
+                self.with_tenant(tenant, |_, t| match t.world.checkpoint_now()? {
                     Some(path) => {
                         t.checkpointed_at = t.world.now_cycles();
                         Ok(json!({
@@ -451,11 +489,9 @@ impl Server {
                          checkpoint root, or put a `checkpoint` block in the scenario)"
                             .into(),
                     ),
-                }
+                })
             }
-            Request::Subscribe { tenant } => {
-                let slot = self.slot(tenant)?;
-                let t = slot.lock();
+            Request::Subscribe { tenant } => self.with_tenant(tenant, |_, t| {
                 let Some(sink) = &t.sink else {
                     return Err(format!(
                         "tenant `{tenant}` was created without telemetry; \
@@ -471,10 +507,8 @@ impl Server {
                     })
                     .collect();
                 Ok(json!({"events": events, "dropped": dropped}))
-            }
-            Request::Outcome { tenant } => {
-                let slot = self.slot(tenant)?;
-                let mut t = slot.lock();
+            }),
+            Request::Outcome { tenant } => self.with_tenant(tenant, |_, t| {
                 if !t.world.done() {
                     return Err(format!(
                         "tenant `{tenant}` is still running (cycle {}); outcome is \
@@ -496,7 +530,7 @@ impl Server {
                     "summary": out.json.clone(),
                     "text": out.text.as_str(),
                 }))
-            }
+            }),
             Request::Destroy { tenant } => {
                 let slot = {
                     let mut tenants = self.inner.tenants.lock().expect("tenants poisoned");
@@ -504,8 +538,9 @@ impl Server {
                         .remove(tenant)
                         .ok_or_else(|| format!("no such tenant `{tenant}`"))?
                 };
-                // Wait out any in-flight stride, then drop the world.
-                drop(slot.lock());
+                // Cut short any in-flight stride, then drop the world.
+                // Not re-queued: the tenant is gone.
+                drop(slot.claim());
                 if let Some(root) = &self.inner.cfg.checkpoint_root {
                     let dir = root.join(tenant);
                     if dir.is_dir() {
@@ -568,7 +603,8 @@ impl Server {
         };
         let mut checkpointed = 0;
         for (name, slot) in slots {
-            let mut t = slot.lock();
+            // Not re-queued: workers no longer advance tenants.
+            let mut t = slot.claim();
             if !t.world.done() && t.world.config().checkpoint.is_some() {
                 t.world
                     .checkpoint_now()
@@ -587,7 +623,13 @@ impl Server {
     /// As [`Self::begin_drain`]; workers are joined either way.
     pub fn drain(mut self) -> Result<(), String> {
         let result = self.begin_drain().map(|_| ());
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set under the run-queue lock: a worker between its shutdown
+        // check and its wait would otherwise miss the wake-up and never
+        // be joined.
+        {
+            let _runq = self.inner.runq.lock().expect("runq poisoned");
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.work.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -664,16 +706,41 @@ fn enqueue(inner: &Inner, name: &str) {
         }
         t.queued = true;
     }
-    inner
-        .runq
-        .lock()
-        .expect("runq poisoned")
-        .push_back(name.to_owned());
+    push(inner, name.to_owned());
+}
+
+/// Appends a tenant whose `queued` flag its caller just set to the run
+/// queue and wakes a worker.
+fn push(inner: &Inner, name: String) {
+    inner.runq.lock().expect("runq poisoned").push_back(name);
     inner.work.notify_one();
 }
 
+/// Advances `world` by one worker stride as a run of steps of at most
+/// [`SLICE`] cycles, checking `preempt` before each step, the first
+/// included. Returns `(done, preempted)`. A stride that is not
+/// preempted processes the same events as one `step(stride)`; stride
+/// boundaries are digest-neutral, so a preempted one changes no result.
+fn run_stride(world: &mut ScenarioWorld, stride: u64, preempt: impl Fn() -> bool) -> (bool, bool) {
+    let end = world.now_cycles().saturating_add(stride);
+    loop {
+        if preempt() {
+            return (world.done(), true);
+        }
+        let now = world.now_cycles();
+        let cycles = end.saturating_sub(now).min(SLICE);
+        let done = world.step(cycles);
+        // The last step either asked for the stride's end or was
+        // carried past it by the next pending event.
+        if done || now + cycles >= end || world.now_cycles() >= end {
+            return (done, false);
+        }
+    }
+}
+
 /// The worker loop: claim the next queued tenant, advance it one
-/// stride, checkpoint if the cadence came due, re-queue if unfinished.
+/// stride, checkpoint if the cadence came due, re-queue if unfinished
+/// and not preempted.
 fn worker_loop(inner: &Inner) {
     loop {
         let name = {
@@ -701,7 +768,9 @@ fn worker_loop(inner: &Inner) {
         };
         let requeue = {
             let mut t = slot.lock();
-            let done = t.world.step(inner.cfg.stride);
+            let (done, preempted) = run_stride(&mut t.world, inner.cfg.stride, || {
+                slot.waiting.load(Ordering::SeqCst) > 0
+            });
             slot.publish(&t.world);
             if !done
                 && t.world.config().checkpoint.is_some()
@@ -715,16 +784,13 @@ fn worker_loop(inner: &Inner) {
                     Err(e) => eprintln!("warning: tenant `{name}`: {e}"),
                 }
             }
-            t.queued = !done && slot.autorun;
+            // A preempted tenant stays off the queue until the request
+            // that preempted it re-queues it (`Server::with_tenant`).
+            t.queued = !done && slot.autorun && !preempted;
             t.queued
         };
         if requeue {
-            inner
-                .runq
-                .lock()
-                .expect("runq poisoned")
-                .push_back(name);
-            inner.work.notify_one();
+            push(inner, name);
         }
     }
 }

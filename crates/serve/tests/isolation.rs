@@ -7,13 +7,18 @@
 //!
 //! The same holds mid-flight: every `tenant.identify` answer, served
 //! from the tenant's published view without the tenant lock, equals the
-//! solo world's `identify(None)` at the same cycle.
+//! solo world's `identify(None)` at the same cycle. Both hold as well
+//! when waiting requests cut nearly every worker stride short.
 
+use ddpm_serve::proto::ok_response;
 use ddpm_serve::scenario::{run_scenario, ScenarioConfig, ScenarioWorld};
-use ddpm_serve::{Server, ServerConfig};
+use ddpm_serve::{OnlineAttribution, Server, ServerConfig};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use serde_json::{json, FromJson, Value};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// A small scenario from a handful of orthogonal knobs, varied enough
 /// to cover the topology families and plugin schemes, small enough that
@@ -41,6 +46,26 @@ fn scenario_json(knobs: (u8, u8, u64)) -> Value {
         "seed": seed, "background_interval": 40, "horizon": 900,
         "attack": attack,
     })
+}
+
+/// The response line to an id-less `tenant.identify` answered with `a`.
+fn identify_line(a: &OnlineAttribution) -> String {
+    ok_response(
+        None,
+        &json!({
+            "scheme": a.scheme,
+            "cycle": a.cycle,
+            "victim": a.victim,
+            "observed": a.observed,
+            "rejected": a.rejected,
+            "candidates": a.candidates,
+            "confidence": a.confidence,
+        }),
+    )
+}
+
+fn identify_request(tenant: &str) -> String {
+    json!({"verb": "tenant.identify", "tenant": tenant}).to_string()
 }
 
 proptest! {
@@ -86,25 +111,9 @@ proptest! {
                 prop_assert_eq!(resp["ok"].as_bool(), Some(true), "step failed: {}", resp);
                 done[i] = resp["done"].as_bool() == Some(true);
                 prop_assert_eq!(solos[i].step(cycles), done[i]);
-                let got: Value = serde_json::from_str(&server.handle_line(
-                    &json!({"verb": "tenant.identify", "tenant": format!("t{i}")}).to_string(),
-                )).expect("json");
+                let got = server.handle_line(&identify_request(&format!("t{i}")));
                 let want = solos[i].identify(None).expect("solo identify");
-                prop_assert_eq!(got["ok"].as_bool(), Some(true), "identify failed: {}", got);
-                prop_assert_eq!(got["cycle"].as_u64(), Some(want.cycle));
-                prop_assert_eq!(got["scheme"].as_str(), Some(want.scheme));
-                prop_assert_eq!(got["victim"].as_u64(), Some(u64::from(want.victim)));
-                prop_assert_eq!(got["observed"].as_u64(), Some(want.observed));
-                prop_assert_eq!(got["rejected"].as_u64(), Some(want.rejected));
-                prop_assert_eq!(got["confidence"].as_f64(), Some(want.confidence));
-                let candidates: Vec<u64> = got["candidates"]
-                    .as_array()
-                    .expect("candidates")
-                    .iter()
-                    .filter_map(Value::as_u64)
-                    .collect();
-                let expected: Vec<u64> = want.candidates.iter().map(|&c| u64::from(c)).collect();
-                prop_assert_eq!(candidates, expected, "tenant t{} at cycle {}", i, want.cycle);
+                prop_assert_eq!(got, identify_line(&want), "tenant t{}", i);
             }
             step += 1;
         }
@@ -122,4 +131,85 @@ proptest! {
         }
         server.drain().expect("drain");
     }
+}
+
+/// Steps `world` through every event at or before `cycle` and no later
+/// one: the state a server-side world whose last advancement stopped at
+/// `cycle` is in.
+fn advance_to(world: &mut ScenarioWorld, cycle: u64) {
+    while world.sim().next_event_time().is_some_and(|t| t <= cycle) {
+        world.step(cycle + 1 - world.now_cycles());
+    }
+}
+
+/// An autorun tenant whose worker stride outlasts its whole run, while a
+/// second client polls `tenant.stats` (which takes the tenant lock): the
+/// worker yields to every poll, so the run is a long chain of strides cut
+/// short at slice boundaries. Every identify answer still equals the
+/// solo world's at the reported cycle, and the outcome digest equals the
+/// standalone one-shot run's.
+#[test]
+fn strides_cut_short_by_waiting_requests_match_the_solo_run() {
+    let sc = json!({
+        "topology": {"kind": "torus", "dims": [6, 6]},
+        "router": "fully_adaptive", "scheme": "ddpm", "seed": 41,
+        "background_interval": 40, "horizon": 40_000,
+        "attack": {"kind": "udp_flood", "zombies": [4, 17], "victim": 30,
+                   "packets_per_zombie": 300, "interval": 50}
+    });
+    let cfg = ScenarioConfig::from_json(&sc).expect("config");
+    let server = Server::new(ServerConfig {
+        workers: 1,
+        stride: 1 << 40,
+        ..ServerConfig::default()
+    });
+    let create: Value = serde_json::from_str(&server.handle_line(
+        &json!({"verb": "tenant.create", "name": "p", "autorun": true, "scenario": sc}).to_string(),
+    ))
+    .expect("json");
+    assert_eq!(create["ok"].as_bool(), Some(true), "{create}");
+    let mut solo = ScenarioWorld::build(&cfg, None, None).expect("solo world");
+    let finished = AtomicBool::new(false);
+    let mut cycles = BTreeSet::new();
+    std::thread::scope(|s| {
+        let poller = s.spawn(|| {
+            let stats = json!({"verb": "tenant.stats", "tenant": "p"}).to_string();
+            while !finished.load(Ordering::SeqCst) {
+                let resp: Value = serde_json::from_str(&server.handle_line(&stats)).expect("json");
+                assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+                finished.store(resp["done"].as_bool() == Some(true), Ordering::SeqCst);
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        });
+        loop {
+            // Read `finished` first: the answer after it is final. A
+            // poller that panicked ends the loop too (the scope re-raises).
+            let last = finished.load(Ordering::SeqCst) || poller.is_finished();
+            let got = server.handle_line(&identify_request("p"));
+            let cycle = serde_json::from_str::<Value>(&got).expect("json")["cycle"]
+                .as_u64()
+                .unwrap_or_else(|| panic!("identify failed: {got}"));
+            advance_to(&mut solo, cycle);
+            let want = solo.identify(None).expect("solo identify");
+            assert_eq!(got, identify_line(&want), "at cycle {cycle}");
+            cycles.insert(cycle);
+            if last {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    // Without preemption the one stride would cover the whole run, and
+    // identify would see only cycle 0 and the last one.
+    assert!(cycles.len() > 2, "identify saw only cycles {cycles:?}");
+    let outcome: Value = serde_json::from_str(
+        &server.handle_line(&json!({"verb": "tenant.outcome", "tenant": "p"}).to_string()),
+    )
+    .expect("json");
+    assert_eq!(
+        outcome["digest"].as_str(),
+        Some(run_scenario(&cfg).expect("solo run").digest.as_str()),
+        "{outcome}"
+    );
+    server.drain().expect("drain");
 }

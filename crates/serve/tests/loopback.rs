@@ -1,8 +1,10 @@
 //! The service over real loopback TCP, through [`ServeClient`].
 //!
-//! Two contracts: a request/response round trip costs no Nagle stall
-//! (each side sends a line in one segment with `TCP_NODELAY` set), and
-//! a malformed inject is refused in-band without harming its tenant.
+//! Three contracts: a request/response round trip costs no Nagle stall
+//! (each side sends a line in one segment with `TCP_NODELAY` set), a
+//! request that needs the tenant itself waits one slice of a worker's
+//! stride rather than the whole stride, and a malformed inject is
+//! refused in-band without harming its tenant.
 
 use ddpm_serve::{ServeClient, Server, ServerConfig};
 use serde_json::{json, Value};
@@ -31,15 +33,19 @@ struct LiveServer {
 
 impl LiveServer {
     fn start() -> Self {
+        Self::start_with(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+    }
+
+    fn start_with(cfg: ServerConfig) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr").to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            let server = Server::new(ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            });
+            let server = Server::new(cfg);
             server
                 .serve(&listener, &|| flag.load(Ordering::SeqCst))
                 .expect("serve");
@@ -95,6 +101,46 @@ fn info_round_trips_stay_under_the_nagle_floor() {
     client
         .call("tenant.destroy", &json!({"tenant": "busy"}))
         .expect("destroy");
+}
+
+/// A stride far longer than the tenant's whole run (which takes a few
+/// hundred ms in release): a worker that kept the tenant for its stride
+/// would answer `tenant.stats` only once the run had drained, and refuse
+/// the inject. A preemptible stride yields within one slice, so both
+/// reach the tenant mid-run, and the tenant is re-queued afterwards.
+#[test]
+fn locked_verbs_reach_the_tenant_mid_stride() {
+    let live = LiveServer::start_with(ServerConfig {
+        workers: 1,
+        stride: 1 << 40,
+        ..ServerConfig::default()
+    });
+    let mut client = ServeClient::connect(&live.addr).expect("connect");
+    client
+        .call(
+            "tenant.create",
+            &json!({"name": "long", "autorun": true, "scenario": scenario(300_000)}),
+        )
+        .expect("create");
+    // Let the worker claim the tenant and start its one long stride.
+    std::thread::sleep(Duration::from_millis(20));
+    let stats = client.tenant_call("tenant.stats", "long").expect("stats");
+    assert_eq!(stats["done"].as_bool(), Some(false), "{stats}");
+    let inject = client
+        .call(
+            "tenant.inject",
+            &json!({"tenant": "long", "attack": {
+                "kind": "syn_flood", "zombies": [3], "victim": 12,
+                "syns_per_zombie": 10, "interval": 4}}),
+        )
+        .expect("inject mid-run");
+    assert_eq!(inject["packets"].as_u64(), Some(10), "{inject}");
+    let stats = client.tenant_call("tenant.stats", "long").expect("stats");
+    assert_eq!(stats["done"].as_bool(), Some(false), "{stats}");
+    assert_eq!(stats["injected_extra"].as_u64(), Some(10), "{stats}");
+    client
+        .wait_done("long", 20, 1500)
+        .expect("the preempted tenant runs on");
 }
 
 #[test]
